@@ -196,14 +196,13 @@ RunStats SemAccelerator::run(const kernels::AxArgs& args) const {
     for (int k = 0; k < nx; ++k) {
       for (int j = 0; j < nx; ++j) {
         for (int i = 0; i < nx; ++i) {
-          const std::size_t src = e * ppe + static_cast<std::size_t>(i) +
+          const std::size_t ijk = static_cast<std::size_t>(i) +
                                   static_cast<std::size_t>(nx) * j +
                                   static_cast<std::size_t>(nx) * nx * k;
-          const std::size_t dst = e * ppep + pad_index(i, j, k);
-          up[dst] = args.u[src];
+          const std::size_t ijkp = pad_index(i, j, k);
+          up[e * ppep + ijkp] = args.u[e * ppe + ijk];
           for (int c = 0; c < sem::kGeomComponents; ++c) {
-            gp[dst * sem::kGeomComponents + c] =
-                args.g[src * sem::kGeomComponents + c];
+            gp[sem::geom_index(ppep, e, c, ijkp)] = args.g[sem::geom_index(ppe, e, c, ijk)];
           }
         }
       }

@@ -3,64 +3,11 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "kernels/ax_body.hpp"
 #include "kernels/ax_dispatch.hpp"
 #include "kernels/ax_internal.hpp"
 
 namespace semfpga::kernels {
-namespace {
-
-/// Shared element body used by the reference and OpenMP variants.
-/// Work arrays are caller-provided so the hot loop never allocates.
-inline void ax_element_body(const double* u, double* w, const double* g,
-                            const double* dx, const double* dxt, int nx,
-                            double* shur, double* shus, double* shut) {
-  const std::size_t n = static_cast<std::size_t>(nx);
-  // Gradient phase: (r,s,t)-derivatives, then contraction with G.
-  for (int k = 0; k < nx; ++k) {
-    for (int j = 0; j < nx; ++j) {
-      for (int i = 0; i < nx; ++i) {
-        const std::size_t ij = static_cast<std::size_t>(i) + n * j;
-        const std::size_t ijk = ij + n * n * k;
-        double rtmp = 0.0;
-        double stmp = 0.0;
-        double ttmp = 0.0;
-        for (int l = 0; l < nx; ++l) {
-          rtmp += dx[static_cast<std::size_t>(i) * n + l] *
-                  u[static_cast<std::size_t>(l) + n * j + n * n * k];
-          stmp += dx[static_cast<std::size_t>(j) * n + l] *
-                  u[static_cast<std::size_t>(i) + n * l + n * n * k];
-          ttmp += dx[static_cast<std::size_t>(k) * n + l] *
-                  u[static_cast<std::size_t>(i) + n * j + n * n * l];
-        }
-        const double* gp = g + ijk * sem::kGeomComponents;
-        shur[ijk] = gp[sem::kGrr] * rtmp + gp[sem::kGrs] * stmp + gp[sem::kGrt] * ttmp;
-        shus[ijk] = gp[sem::kGrs] * rtmp + gp[sem::kGss] * stmp + gp[sem::kGst] * ttmp;
-        shut[ijk] = gp[sem::kGrt] * rtmp + gp[sem::kGst] * stmp + gp[sem::kGtt] * ttmp;
-      }
-    }
-  }
-  // Divergence phase: w = D^T shur + D^T shus + D^T shut per direction.
-  for (int k = 0; k < nx; ++k) {
-    for (int j = 0; j < nx; ++j) {
-      for (int i = 0; i < nx; ++i) {
-        const std::size_t ijk = static_cast<std::size_t>(i) + n * j + n * n * k;
-        double acc = 0.0;
-        for (int l = 0; l < nx; ++l) {
-          acc += dxt[static_cast<std::size_t>(i) * n + l] *
-                 shur[static_cast<std::size_t>(l) + n * j + n * n * k];
-          acc += dxt[static_cast<std::size_t>(j) * n + l] *
-                 shus[static_cast<std::size_t>(i) + n * l + n * n * k];
-          acc += dxt[static_cast<std::size_t>(k) * n + l] *
-                 shut[static_cast<std::size_t>(i) + n * j + n * n * l];
-        }
-        w[ijk] = acc;
-      }
-    }
-  }
-}
-
-}  // namespace
-
 namespace detail {
 
 void ax_reference_range(const AxArgs& args, std::size_t e_begin, std::size_t e_end) {
@@ -72,9 +19,10 @@ void ax_reference_range(const AxArgs& args, std::size_t e_begin, std::size_t e_e
   shus.resize(ppe);
   shut.resize(ppe);
   for (std::size_t e = e_begin; e < e_end; ++e) {
-    ax_element_body(args.u.data() + e * ppe, args.w.data() + e * ppe,
-                    args.g.data() + e * ppe * sem::kGeomComponents, args.dx.data(),
-                    args.dxt.data(), args.n1d, shur.data(), shus.data(), shut.data());
+    ax_element_body_t<double>(args.u.data() + e * ppe, args.w.data() + e * ppe,
+                              args.g.data() + sem::geom_index(ppe, e, 0, 0),
+                              args.dx.data(), args.dxt.data(), args.n1d, shur.data(),
+                              shus.data(), shut.data());
   }
 }
 
@@ -91,76 +39,9 @@ void AxArgs::validate() const {
   SEMFPGA_CHECK(dxt.size() == static_cast<std::size_t>(n1d) * n1d, "dxt has the wrong size");
 }
 
-void AxSoaArgs::validate() const {
-  SEMFPGA_CHECK(n1d >= 2, "n1d must be at least 2 (degree >= 1)");
-  const std::size_t ppe = static_cast<std::size_t>(n1d) * n1d * n1d;
-  const std::size_t n = n_elements * ppe;
-  SEMFPGA_CHECK(u.size() == n, "u has the wrong size");
-  SEMFPGA_CHECK(w.size() == n, "w has the wrong size");
-  for (const auto& comp : g) {
-    SEMFPGA_CHECK(comp.size() == n, "a geometric component has the wrong size");
-  }
-  SEMFPGA_CHECK(dx.size() == static_cast<std::size_t>(n1d) * n1d, "dx has the wrong size");
-  SEMFPGA_CHECK(dxt.size() == static_cast<std::size_t>(n1d) * n1d, "dxt has the wrong size");
-}
-
 void ax_reference(const AxArgs& args) {
   args.validate();
   detail::ax_reference_range(args, 0, args.n_elements);
-}
-
-void ax_soa(const AxSoaArgs& args) {
-  args.validate();
-  const int nx = args.n1d;
-  const std::size_t n = static_cast<std::size_t>(nx);
-  const std::size_t ppe = n * n * n;
-  std::vector<double> shur(ppe);
-  std::vector<double> shus(ppe);
-  std::vector<double> shut(ppe);
-
-  for (std::size_t e = 0; e < args.n_elements; ++e) {
-    const double* u = args.u.data() + e * ppe;
-    double* w = args.w.data() + e * ppe;
-    const double* grr = args.g[sem::kGrr].data() + e * ppe;
-    const double* grs = args.g[sem::kGrs].data() + e * ppe;
-    const double* grt = args.g[sem::kGrt].data() + e * ppe;
-    const double* gss = args.g[sem::kGss].data() + e * ppe;
-    const double* gst = args.g[sem::kGst].data() + e * ppe;
-    const double* gtt = args.g[sem::kGtt].data() + e * ppe;
-
-    for (int k = 0; k < nx; ++k) {
-      for (int j = 0; j < nx; ++j) {
-        for (int i = 0; i < nx; ++i) {
-          const std::size_t ijk = static_cast<std::size_t>(i) + n * j + n * n * k;
-          double rtmp = 0.0;
-          double stmp = 0.0;
-          double ttmp = 0.0;
-          for (int l = 0; l < nx; ++l) {
-            rtmp += args.dx[static_cast<std::size_t>(i) * n + l] * u[l + n * j + n * n * k];
-            stmp += args.dx[static_cast<std::size_t>(j) * n + l] * u[i + n * l + n * n * k];
-            ttmp += args.dx[static_cast<std::size_t>(k) * n + l] * u[i + n * j + n * n * l];
-          }
-          shur[ijk] = grr[ijk] * rtmp + grs[ijk] * stmp + grt[ijk] * ttmp;
-          shus[ijk] = grs[ijk] * rtmp + gss[ijk] * stmp + gst[ijk] * ttmp;
-          shut[ijk] = grt[ijk] * rtmp + gst[ijk] * stmp + gtt[ijk] * ttmp;
-        }
-      }
-    }
-    for (int k = 0; k < nx; ++k) {
-      for (int j = 0; j < nx; ++j) {
-        for (int i = 0; i < nx; ++i) {
-          const std::size_t ijk = static_cast<std::size_t>(i) + n * j + n * n * k;
-          double acc = 0.0;
-          for (int l = 0; l < nx; ++l) {
-            acc += args.dxt[static_cast<std::size_t>(i) * n + l] * shur[l + n * j + n * n * k];
-            acc += args.dxt[static_cast<std::size_t>(j) * n + l] * shus[i + n * l + n * n * k];
-            acc += args.dxt[static_cast<std::size_t>(k) * n + l] * shut[i + n * j + n * n * l];
-          }
-          w[ijk] = acc;
-        }
-      }
-    }
-  }
 }
 
 void ax_omp(const AxArgs& args) {
@@ -176,10 +57,10 @@ void ax_single_element(const sem::ReferenceElement& ref, const sem::GeomFactors&
   std::vector<double> shur(ppe);
   std::vector<double> shus(ppe);
   std::vector<double> shut(ppe);
-  ax_element_body(u.data(), w.data(),
-                  gf.g.data() + element * ppe * sem::kGeomComponents,
-                  ref.deriv().d.data(), ref.deriv().dt.data(), ref.n1d(), shur.data(),
-                  shus.data(), shut.data());
+  ax_element_body_t<double>(u.data(), w.data(),
+                            gf.g.data() + sem::geom_index(ppe, element, 0, 0),
+                            ref.deriv().d.data(), ref.deriv().dt.data(), ref.n1d(),
+                            shur.data(), shus.data(), shut.data());
 }
 
 }  // namespace semfpga::kernels

@@ -15,7 +15,6 @@
 /// transpose.  The gradient phase contracts with D, the divergence phase
 /// with D^T; both walk the matrices with unit stride.
 
-#include <array>
 #include <cstdint>
 #include <span>
 
@@ -27,7 +26,7 @@ namespace semfpga::kernels {
 struct AxArgs {
   std::span<const double> u;    ///< input field, n_elements * (N+1)^3
   std::span<double> w;          ///< output field, same shape
-  std::span<const double> g;    ///< interleaved geometric factors, 6 per DOF
+  std::span<const double> g;    ///< geometric factors, 6 per DOF, sem::geom_index layout
   std::span<const double> dx;   ///< row-major D, (N+1)^2
   std::span<const double> dxt;  ///< row-major D^T, (N+1)^2
   int n1d = 0;                  ///< GLL points per direction, N+1
@@ -37,26 +36,9 @@ struct AxArgs {
   void validate() const;
 };
 
-/// Operand bundle for the structure-of-arrays variant: the six components
-/// of G live in separate streams (paper Section III-B "split gxyz").
-struct AxSoaArgs {
-  std::span<const double> u;
-  std::span<double> w;
-  std::array<std::span<const double>, sem::kGeomComponents> g;  ///< per-component
-  std::span<const double> dx;
-  std::span<const double> dxt;
-  int n1d = 0;
-  std::size_t n_elements = 0;
-
-  void validate() const;
-};
-
 /// Direct port of Listing 1: two loop nests per element with on-stack
 /// shur/shus/shut work arrays.  The correctness oracle for all variants.
 void ax_reference(const AxArgs& args);
-
-/// Structure-of-arrays geometric factors; otherwise identical math.
-void ax_soa(const AxSoaArgs& args);
 
 /// OpenMP element-parallel reference body on all hardware threads — sugar
 /// for ax_run(AxVariant::kReference, args, {0}) (kernels/ax_dispatch.hpp).

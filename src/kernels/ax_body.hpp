@@ -2,8 +2,8 @@
 /// \file ax_body.hpp
 /// Precision-generic element body of the local Poisson operator.
 ///
-/// Shared by the double-precision kernels (kernels/ax.hpp) and the FP32
-/// variant used for the precision-ablation study (kernels/ax_f32.hpp).
+/// Shared by the double-precision reference kernel (kernels/ax.hpp) and the
+/// FP32 variant used for the precision-ablation study (kernels/ax_f32.hpp).
 /// The paper's footnote 6 motivates the ablation: "Experiments with
 /// single-precision or lower may work for some scenarios, but for longer
 /// simulations in particular the cumulative error can lead to highly
@@ -15,13 +15,22 @@
 
 namespace semfpga::kernels {
 
-/// Applies w = D^T G D u on one element.  `Real` is float or double; the
-/// operation order is identical across precisions so differences are pure
-/// rounding.  Work arrays shur/shus/shut are caller-provided ((N+1)^3 each).
+/// Applies w = D^T G D u on one element — the scalar Listing-1 body.
+/// `Real` is float or double; the operation order is identical across
+/// precisions so differences are pure rounding.  `g` points at the
+/// element's six component rows (sem::geom_index).  Work arrays
+/// shur/shus/shut are caller-provided ((N+1)^3 each).
 template <class Real>
 void ax_element_body_t(const Real* u, Real* w, const Real* g, const Real* dx,
                        const Real* dxt, int nx, Real* shur, Real* shus, Real* shut) {
   const std::size_t n = static_cast<std::size_t>(nx);
+  const std::size_t ppe = n * n * n;
+  const Real* grr = g + sem::geom_index(ppe, 0, sem::kGrr, 0);
+  const Real* grs = g + sem::geom_index(ppe, 0, sem::kGrs, 0);
+  const Real* grt = g + sem::geom_index(ppe, 0, sem::kGrt, 0);
+  const Real* gss = g + sem::geom_index(ppe, 0, sem::kGss, 0);
+  const Real* gst = g + sem::geom_index(ppe, 0, sem::kGst, 0);
+  const Real* gtt = g + sem::geom_index(ppe, 0, sem::kGtt, 0);
   for (int k = 0; k < nx; ++k) {
     for (int j = 0; j < nx; ++j) {
       for (int i = 0; i < nx; ++i) {
@@ -38,10 +47,9 @@ void ax_element_body_t(const Real* u, Real* w, const Real* g, const Real* dx,
           ttmp += dx[static_cast<std::size_t>(k) * n + l] *
                   u[static_cast<std::size_t>(i) + n * j + n * n * l];
         }
-        const Real* gp = g + ijk * sem::kGeomComponents;
-        shur[ijk] = gp[sem::kGrr] * rtmp + gp[sem::kGrs] * stmp + gp[sem::kGrt] * ttmp;
-        shus[ijk] = gp[sem::kGrs] * rtmp + gp[sem::kGss] * stmp + gp[sem::kGst] * ttmp;
-        shut[ijk] = gp[sem::kGrt] * rtmp + gp[sem::kGst] * stmp + gp[sem::kGtt] * ttmp;
+        shur[ijk] = grr[ijk] * rtmp + grs[ijk] * stmp + grt[ijk] * ttmp;
+        shus[ijk] = grs[ijk] * rtmp + gss[ijk] * stmp + gst[ijk] * ttmp;
+        shut[ijk] = grt[ijk] * rtmp + gst[ijk] * stmp + gtt[ijk] * ttmp;
       }
     }
   }

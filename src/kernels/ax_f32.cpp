@@ -25,7 +25,7 @@ void ax_reference_f32(const AxArgsF32& args) {
   std::vector<float> shut(ppe);
   for (std::size_t e = 0; e < args.n_elements; ++e) {
     ax_element_body_t<float>(args.u.data() + e * ppe, args.w.data() + e * ppe,
-                             args.g.data() + e * ppe * sem::kGeomComponents,
+                             args.g.data() + sem::geom_index(ppe, e, 0, 0),
                              args.dx.data(), args.dxt.data(), args.n1d, shur.data(),
                              shus.data(), shut.data());
   }

@@ -19,7 +19,7 @@ namespace semfpga::kernels {
 struct AxArgsF32 {
   std::span<const float> u;
   std::span<float> w;
-  std::span<const float> g;    ///< interleaved geometric factors
+  std::span<const float> g;    ///< geometric factors, sem::geom_index layout
   std::span<const float> dx;   ///< row-major D
   std::span<const float> dxt;  ///< row-major D^T
   int n1d = 0;

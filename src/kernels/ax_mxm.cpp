@@ -45,7 +45,12 @@ void ax_mxm_range_impl(const AxArgs& args, std::size_t e_begin, std::size_t e_en
   for (std::size_t e = e_begin; e < e_end; ++e) {
     const double* u = args.u.data() + e * ppe;
     double* w = args.w.data() + e * ppe;
-    const double* g = args.g.data() + e * ppe * sem::kGeomComponents;
+    const double* grr = args.g.data() + sem::geom_index(ppe, e, sem::kGrr, 0);
+    const double* grs = args.g.data() + sem::geom_index(ppe, e, sem::kGrs, 0);
+    const double* grt = args.g.data() + sem::geom_index(ppe, e, sem::kGrt, 0);
+    const double* gss = args.g.data() + sem::geom_index(ppe, e, sem::kGss, 0);
+    const double* gst = args.g.data() + sem::geom_index(ppe, e, sem::kGst, 0);
+    const double* gtt = args.g.data() + sem::geom_index(ppe, e, sem::kGtt, 0);
 
     // --- local_grad3: ur = du/dr, us = du/ds, ut = du/dt ------------------
     // r-derivative: one (n^2 x n) * (n x n) product against D^T.
@@ -59,13 +64,12 @@ void ax_mxm_range_impl(const AxArgs& args, std::size_t e_begin, std::size_t e_en
 
     // --- geometric contraction, in place --------------------------------
     for (std::size_t p = 0; p < ppe; ++p) {
-      const double* gp = g + p * sem::kGeomComponents;
       const double r = ur[p];
       const double s = us[p];
       const double t = ut[p];
-      ur[p] = gp[sem::kGrr] * r + gp[sem::kGrs] * s + gp[sem::kGrt] * t;
-      us[p] = gp[sem::kGrs] * r + gp[sem::kGss] * s + gp[sem::kGst] * t;
-      ut[p] = gp[sem::kGrt] * r + gp[sem::kGst] * s + gp[sem::kGtt] * t;
+      ur[p] = grr[p] * r + grs[p] * s + grt[p] * t;
+      us[p] = grs[p] * r + gss[p] * s + gst[p] * t;
+      ut[p] = grt[p] * r + gst[p] * s + gtt[p] * t;
     }
 
     // --- local_grad3_t: w = D_r^T ur + D_s^T us + D_t^T ut ----------------

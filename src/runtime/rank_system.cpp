@@ -112,20 +112,9 @@ RankSystem::RankSystem(const sem::Mesh& global_mesh, const BlockPartition& part,
   // global fold.  Masked DOFs are pinned to exactly 1.0, as in the
   // single-rank constructor.
   aligned_vector<double> raw(n);
-  const std::size_t ppe = system_->ref().points_per_element();
-  for (std::size_t e = 0; e < system_->geom().n_elements; ++e) {
-    const auto d = sem::local_diagonal(system_->ref(), system_->geom(), e);
-    for (std::size_t p = 0; p < ppe; ++p) {
-      raw[e * ppe + p] = d[p];
-    }
-  }
   const double lambda =
       options.kind == solver::OperatorKind::kHelmholtz ? options.helmholtz_lambda : 0.0;
-  if (lambda != 0.0) {
-    for (std::size_t p = 0; p < n; ++p) {
-      raw[p] += lambda * system_->geom().mass[p];
-    }
-  }
+  sem::local_diagonals(system_->ref(), system_->geom(), lambda, raw);
   qqt(std::span<double>(raw.data(), n));
   diagonal_.resize(n);
   for (std::size_t p = 0; p < n; ++p) {

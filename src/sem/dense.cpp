@@ -99,40 +99,63 @@ std::vector<double> dense_apply(const std::vector<double>& a, const std::vector<
   return y;
 }
 
-std::vector<double> local_diagonal(const ReferenceElement& ref, const GeomFactors& gf,
-                                   std::size_t element) {
-  SEMFPGA_CHECK(element < gf.n_elements, "element index out of range");
-  const int n1d = ref.n1d();
-  const std::size_t ppe = ref.points_per_element();
-  const auto& d = ref.deriv().d;
+void local_diagonals(const ReferenceElement& ref, const GeomFactors& gf,
+                     double mass_lambda, std::span<double> out) {
+  const std::size_t ppe = gf.ppe;
+  SEMFPGA_CHECK(out.size() == gf.n_elements * ppe, "diagonal view must cover every element");
+  SEMFPGA_CHECK(ref.points_per_element() == ppe, "reference element degree mismatch");
+  const std::size_t n = static_cast<std::size_t>(ref.n1d());
+  const std::size_t n2 = n * n;
+  const double* d = ref.deriv().d.data();
 
-  std::vector<double> diag(ppe, 0.0);
-  for (int k = 0; k < n1d; ++k) {
-    for (int j = 0; j < n1d; ++j) {
-      for (int i = 0; i < n1d; ++i) {
-        const std::size_t m = ref.index(i, j, k);
-        double acc = 0.0;
-        // Same-direction terms: sum over the quadrature line through m.
-        for (int l = 0; l < n1d; ++l) {
-          const double dli = d[static_cast<std::size_t>(l) * n1d + i];
-          const double dlj = d[static_cast<std::size_t>(l) * n1d + j];
-          const double dlk = d[static_cast<std::size_t>(l) * n1d + k];
-          acc += gf.at(element, ref.index(l, j, k), kGrr) * dli * dli;
-          acc += gf.at(element, ref.index(i, l, k), kGss) * dlj * dlj;
-          acc += gf.at(element, ref.index(i, j, l), kGtt) * dlk * dlk;
+  for (std::size_t e = 0; e < gf.n_elements; ++e) {
+    const double* grr = gf.g.data() + geom_index(ppe, e, kGrr, 0);
+    const double* grs = gf.g.data() + geom_index(ppe, e, kGrs, 0);
+    const double* grt = gf.g.data() + geom_index(ppe, e, kGrt, 0);
+    const double* gss = gf.g.data() + geom_index(ppe, e, kGss, 0);
+    const double* gst = gf.g.data() + geom_index(ppe, e, kGst, 0);
+    const double* gtt = gf.g.data() + geom_index(ppe, e, kGtt, 0);
+    double* diag = out.data() + e * ppe;
+    for (std::size_t k = 0; k < n; ++k) {
+      for (std::size_t j = 0; j < n; ++j) {
+        const std::size_t row = n * j + n2 * k;
+        double* acc = diag + row;
+        for (std::size_t i = 0; i < n; ++i) {
+          acc[i] = 0.0;
         }
-        // Cross terms collapse to the diagonal D entries at m.
-        const double dii = d[static_cast<std::size_t>(i) * n1d + i];
-        const double djj = d[static_cast<std::size_t>(j) * n1d + j];
-        const double dkk = d[static_cast<std::size_t>(k) * n1d + k];
-        acc += 2.0 * gf.at(element, m, kGrs) * dii * djj;
-        acc += 2.0 * gf.at(element, m, kGrt) * dii * dkk;
-        acc += 2.0 * gf.at(element, m, kGst) * djj * dkk;
-        diag[m] = acc;
+        // Same-direction terms: sum over the quadrature line through each
+        // node, vectorised over i.
+        for (std::size_t l = 0; l < n; ++l) {
+          const double* dl = d + l * n;
+          const double dlj = dl[j];
+          const double dlk = dl[k];
+          const double grr_l = grr[l + row];
+          const double* gss_l = gss + n * l + n2 * k;
+          const double* gtt_l = gtt + n * j + n2 * l;
+          for (std::size_t i = 0; i < n; ++i) {
+            acc[i] += grr_l * dl[i] * dl[i];
+            acc[i] += gss_l[i] * dlj * dlj;
+            acc[i] += gtt_l[i] * dlk * dlk;
+          }
+        }
+        // Cross terms collapse to the diagonal D entries at each node.
+        const double djj = d[j * n + j];
+        const double dkk = d[k * n + k];
+        for (std::size_t i = 0; i < n; ++i) {
+          const double dii = d[i * n + i];
+          acc[i] += 2.0 * grs[row + i] * dii * djj;
+          acc[i] += 2.0 * grt[row + i] * dii * dkk;
+          acc[i] += 2.0 * gst[row + i] * djj * dkk;
+        }
+      }
+    }
+    if (mass_lambda != 0.0) {
+      const double* mass = gf.mass.data() + e * ppe;
+      for (std::size_t p = 0; p < ppe; ++p) {
+        diag[p] += mass_lambda * mass[p];
       }
     }
   }
-  return diag;
 }
 
 }  // namespace semfpga::sem

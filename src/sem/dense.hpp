@@ -1,12 +1,14 @@
 #pragma once
 /// \file dense.hpp
-/// Dense assembly of the local stiffness matrix — verification only.
+/// Dense assembly of the local stiffness matrix — verification only — and
+/// the analytic local diagonal the Jacobi preconditioner is built from.
 ///
 /// The paper stresses that forming A^e explicitly is prohibitively expensive
 /// in production (Section II); we assemble it anyway for small N as an
 /// independent oracle against which every matrix-free kernel is checked.
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "sem/geometry.hpp"
@@ -26,10 +28,13 @@ namespace semfpga::sem {
 [[nodiscard]] std::vector<double> dense_apply(const std::vector<double>& a,
                                               const std::vector<double>& x);
 
-/// Diagonal of the local Poisson matrix, computed analytically (used by the
-/// Jacobi preconditioner).  Matches assemble_local_matrix's diagonal.
-[[nodiscard]] std::vector<double> local_diagonal(const ReferenceElement& ref,
-                                                 const GeomFactors& gf,
-                                                 std::size_t element);
+/// Raw (unassembled) Jacobi diagonal of every element: the diagonal of each
+/// local Poisson matrix, computed analytically and matching
+/// assemble_local_matrix's, plus `mass_lambda * gf.mass` (the addend is
+/// skipped outright at 0, keeping the Poisson diagonal bitwise).  Written
+/// into `out`, element-major like every field.
+/// \pre out.size() == gf.n_elements * gf.ppe.
+void local_diagonals(const ReferenceElement& ref, const GeomFactors& gf,
+                     double mass_lambda, std::span<double> out);
 
 }  // namespace semfpga::sem

@@ -5,11 +5,12 @@
 /// Paper Section II: the matrix-free operator is w = D^T G D u per element,
 /// where G holds, at every quadrature node, the symmetric 3x3 tensor
 ///   G = w_ijk |det J| J^{-1} J^{-T}
-/// (J = d(x,y,z)/d(r,s,t)).  Six unique entries per DOF are stored — this is
-/// the `gxyz` stream of Listing 1, with the paper's interleaved layout
-/// gxyz[c + 6*ijk] and c in {rr, rs, rt, ss, st, tt}.
+/// (J = d(x,y,z)/d(r,s,t)).  Six unique entries per DOF are stored — the
+/// `gxyz` stream of Listing 1, with c in {rr, rs, rt, ss, st, tt} — but split
+/// the way the paper's Section III-B optimisation splits it: per element, six
+/// contiguous component rows of (N+1)^3 values, g[(e*6 + c)*ppe + ijk]
+/// (geom_index).  Every kernel then reads each component at unit stride.
 
-#include <array>
 #include <cstddef>
 
 #include "common/aligned.hpp"
@@ -29,13 +30,21 @@ enum GeomComponent : int {
 };
 inline constexpr int kGeomComponents = 6;
 
+/// Offset of component `c` at node `ijk` of element `e` in GeomFactors::g
+/// (and in every kernel's `g` operand): per element, six contiguous
+/// component rows of `ppe` values each.
+[[nodiscard]] constexpr std::size_t geom_index(std::size_t ppe, std::size_t e, int c,
+                                               std::size_t ijk) noexcept {
+  return (e * kGeomComponents + static_cast<std::size_t>(c)) * ppe + ijk;
+}
+
 /// Geometric factors of every element of a mesh.
 struct GeomFactors {
   int n1d = 0;
   std::size_t n_elements = 0;
   std::size_t ppe = 0;  ///< points per element
 
-  /// Interleaved layout (the paper's): g[(e*ppe + ijk)*6 + c].
+  /// Per-element structure of arrays: g[geom_index(ppe, e, c, ijk)].
   aligned_vector<double> g;
 
   /// Quadrature mass factor w_ijk * |det J| per DOF (used by the BK5-style
@@ -46,7 +55,7 @@ struct GeomFactors {
   aligned_vector<double> jac_det;
 
   [[nodiscard]] double at(std::size_t e, std::size_t ijk, int c) const noexcept {
-    return g[(e * ppe + ijk) * kGeomComponents + static_cast<std::size_t>(c)];
+    return g[geom_index(ppe, e, c, ijk)];
   }
 };
 
@@ -55,12 +64,5 @@ struct GeomFactors {
 /// curved (deformed) elements are handled exactly up to interpolation order.
 /// \throws std::invalid_argument if any nodal Jacobian determinant is <= 0.
 [[nodiscard]] GeomFactors geometric_factors(const Mesh& mesh, const ReferenceElement& ref);
-
-/// Splits the interleaved `g` stream into 6 per-component arrays
-/// (structure-of-arrays).  This mirrors the paper's Section III-B
-/// optimization, where splitting `gxyz` into six vectors removes BRAM
-/// arbitration; on CPU it enables unit-stride vector loads.
-[[nodiscard]] std::array<aligned_vector<double>, kGeomComponents> split_geom(
-    const GeomFactors& gf);
 
 }  // namespace semfpga::sem

@@ -53,7 +53,12 @@ struct SolveResponse {
   double final_residual = 0.0;
   std::int64_t flops = 0;
   double queue_seconds = 0.0;  ///< submit -> dequeue wait
-  double solve_seconds = 0.0;  ///< setup lookup + CG wall time
+  /// Set-up wall time before the solve: in the server, the batch's
+  /// setup-cache lookup plus its system and backend build (reported on each
+  /// response of the batch); in solve_standalone, the mesh, system and
+  /// backend build.
+  double setup_seconds = 0.0;
+  double solve_seconds = 0.0;  ///< CG wall time
   bool setup_cache_hit = false;
   int batch_size = 1;  ///< solves sharing this request's device dispatch
   std::string error;   ///< kFailed: what the dispatch threw

@@ -106,6 +106,7 @@ SolveResponse solve_standalone(const SolveRequest& request,
                                const backend::MakeOptions& options,
                                int solve_threads) {
   validate(request);
+  Timer setup_timer;
   const sem::Mesh mesh = sem::box_mesh(request.mesh);
   std::unique_ptr<solver::PoissonSystem> system;
   if (request.kind == solver::OperatorKind::kHelmholtz) {
@@ -115,8 +116,10 @@ SolveResponse solve_standalone(const SolveRequest& request,
   }
   system->set_threads(solve_threads);
   const auto backend = backend::make(backend_name, *system, options);
+  const double setup_seconds = setup_timer.seconds();
   Timer timer;
   SolveResponse response = run_solve(*backend, *system, request);
+  response.setup_seconds = setup_seconds;
   response.solve_seconds = timer.seconds();
   return response;
 }
@@ -287,16 +290,19 @@ void SolveServer::dispatch_batch(std::vector<PendingSolve> batch) {
 
   // One shared setup, one system, one backend for the whole (same-key)
   // batch.
+  Timer setup_timer;
   bool cache_hit = false;
   SetupCache::Ptr setup;
   try {
     setup = cache_.get(live.front().key, &cache_hit);
   } catch (const std::exception& e) {
+    const double setup_seconds = setup_timer.seconds();
     for (PendingSolve& pending : live) {
       SolveResponse response;
       response.id = pending.id;
       response.outcome = Outcome::kFailed;
       response.queue_seconds = now - pending.submit_seconds;
+      response.setup_seconds = setup_seconds;
       response.error = e.what();
       complete(pending, std::move(response));
     }
@@ -307,6 +313,7 @@ void SolveServer::dispatch_batch(std::vector<PendingSolve> batch) {
   system->set_threads(config_.solve_threads);
   const std::unique_ptr<backend::Backend> backend =
       backend::make(config_.backend, *system, config_.backend_options);
+  const double setup_seconds = setup_timer.seconds();
 
   // Batched device dispatch: bracket a multi-solve batch in one modeled
   // device session, so PCIe begin/end is paid once for the whole batch.
@@ -323,6 +330,7 @@ void SolveServer::dispatch_batch(std::vector<PendingSolve> batch) {
     SolveResponse response;
     response.id = pending.id;
     response.queue_seconds = now - pending.submit_seconds;
+    response.setup_seconds = setup_seconds;
     response.setup_cache_hit = cache_hit;
     response.batch_size = static_cast<int>(live.size());
     Timer solve_timer;
@@ -330,6 +338,7 @@ void SolveServer::dispatch_batch(std::vector<PendingSolve> batch) {
       SolveResponse solved = run_solve(*backend, *system, pending.request);
       solved.id = response.id;
       solved.queue_seconds = response.queue_seconds;
+      solved.setup_seconds = response.setup_seconds;
       solved.setup_cache_hit = response.setup_cache_hit;
       solved.batch_size = response.batch_size;
       response = std::move(solved);
@@ -339,7 +348,8 @@ void SolveServer::dispatch_batch(std::vector<PendingSolve> batch) {
     }
     response.solve_seconds = solve_timer.seconds();
     wait_hist.observe(response.queue_seconds);
-    latency_hist.observe(response.queue_seconds + response.solve_seconds);
+    latency_hist.observe(response.queue_seconds + response.setup_seconds +
+                         response.solve_seconds);
     complete(pending, std::move(response));
   }
   if (session) {

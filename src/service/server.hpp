@@ -19,8 +19,9 @@
 /// immutable, batching only moves modeled PCIe charges, and CG is
 /// thread-count independent.  tests/service/ pins all of it.
 ///
-/// Timing fields (queue_seconds, solve_seconds) are wall-clock measurements
-/// and the only non-deterministic bytes in a response.
+/// Timing fields (queue_seconds, setup_seconds, solve_seconds) are
+/// wall-clock measurements and the only non-deterministic bytes in a
+/// response.
 
 #include <cstdint>
 #include <future>

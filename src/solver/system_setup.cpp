@@ -46,18 +46,7 @@ SystemSetup::SystemSetup(std::unique_ptr<const sem::Mesh> owned,
     // Assembled Jacobi diagonal: local diagonals (plus the mass term for
     // Helmholtz-type systems) summed across elements in canonical order.
     aligned_vector<double> local_diag(n);
-    const std::size_t ppe = ref.points_per_element();
-    for (std::size_t e = 0; e < geom.n_elements; ++e) {
-      const auto d = sem::local_diagonal(ref, geom, e);
-      for (std::size_t p = 0; p < ppe; ++p) {
-        local_diag[e * ppe + p] = d[p];
-      }
-    }
-    if (mass_lambda != 0.0) {
-      for (std::size_t p = 0; p < n; ++p) {
-        local_diag[p] += mass_lambda * geom.mass[p];
-      }
-    }
+    sem::local_diagonals(ref, geom, mass_lambda, local_diag);
     gs.qqt(local_diag);
     diagonal.resize(n);
     for (std::size_t p = 0; p < n; ++p) {

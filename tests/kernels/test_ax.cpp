@@ -76,29 +76,6 @@ INSTANTIATE_TEST_SUITE_P(Degrees, AxVsDense, ::testing::Values(1, 2, 3, 4));
 
 class AxVariants : public ::testing::TestWithParam<int> {};
 
-TEST_P(AxVariants, SoaMatchesReference) {
-  Workload a(GetParam());
-  Workload b(GetParam());
-  ax_reference(a.args());
-
-  const auto split = sem::split_geom(b.gf);
-  AxSoaArgs soa;
-  soa.u = b.u;
-  soa.w = b.w;
-  for (int c = 0; c < sem::kGeomComponents; ++c) {
-    soa.g[static_cast<std::size_t>(c)] = split[static_cast<std::size_t>(c)];
-  }
-  soa.dx = std::span<const double>(b.ref.deriv().d.data(), b.ref.deriv().d.size());
-  soa.dxt = std::span<const double>(b.ref.deriv().dt.data(), b.ref.deriv().dt.size());
-  soa.n1d = b.ref.n1d();
-  soa.n_elements = b.gf.n_elements;
-  ax_soa(soa);
-
-  for (std::size_t p = 0; p < a.w.size(); ++p) {
-    ASSERT_DOUBLE_EQ(a.w[p], b.w[p]) << "dof " << p;
-  }
-}
-
 TEST_P(AxVariants, OmpMatchesReference) {
   Workload a(GetParam());
   Workload b(GetParam());

@@ -16,13 +16,12 @@
 namespace semfpga::kernels {
 namespace {
 
-enum class Variant { kFixed, kMxm, kSoa, kOmp };
+enum class Variant { kFixed, kMxm, kOmp };
 
 const char* variant_name(Variant v) {
   switch (v) {
     case Variant::kFixed: return "fixed";
     case Variant::kMxm: return "mxm";
-    case Variant::kSoa: return "soa";
     case Variant::kOmp: return "omp";
   }
   return "?";
@@ -73,21 +72,6 @@ TEST_P(VariantMatrix, AgreesWithReference) {
     case Variant::kOmp:
       ax_omp(args);
       break;
-    case Variant::kSoa: {
-      const auto split = sem::split_geom(gf);
-      AxSoaArgs soa;
-      soa.u = args.u;
-      soa.w = args.w;
-      for (int c = 0; c < sem::kGeomComponents; ++c) {
-        soa.g[static_cast<std::size_t>(c)] = split[static_cast<std::size_t>(c)];
-      }
-      soa.dx = args.dx;
-      soa.dxt = args.dxt;
-      soa.n1d = args.n1d;
-      soa.n_elements = args.n_elements;
-      ax_soa(soa);
-      break;
-    }
   }
 
   double scale = 0.0;
@@ -95,7 +79,7 @@ TEST_P(VariantMatrix, AgreesWithReference) {
     scale = std::max(scale, std::abs(v));
   }
   // mxm and the i-vectorised fixed kernel reorder the contractions (that is
-  // the optimization); soa and omp are order-identical to the reference.
+  // the optimization); omp is order-identical to the reference.
   const double tol =
       variant == Variant::kMxm || variant == Variant::kFixed ? 1e-12 * scale : 0.0;
   for (std::size_t p = 0; p < n; ++p) {
@@ -110,8 +94,7 @@ TEST_P(VariantMatrix, AgreesWithReference) {
 INSTANTIATE_TEST_SUITE_P(
     AllCombinations, VariantMatrix,
     ::testing::Combine(::testing::Values(1, 3, 5, 7, 9, 11, 13, 15),
-                       ::testing::Values(Variant::kFixed, Variant::kMxm,
-                                         Variant::kSoa, Variant::kOmp),
+                       ::testing::Values(Variant::kFixed, Variant::kMxm, Variant::kOmp),
                        ::testing::Values(sem::Deformation::kSine,
                                          sem::Deformation::kTwist)),
     [](const ::testing::TestParamInfo<MatrixCase>& tpi) {

@@ -39,11 +39,16 @@ ExchangeResult run_exchange(Fabric& fab) {
       r.received.assign(payload.size(), 0.0);
       env.fabric->recv(0, 1, std::span<double>(r.received.data(), r.received.size()));
     }
+    // The ranks tile the four slots disjointly — rank r owns {2r, 2r+1} —
+    // as the fabric contract requires: a shared slot would make each sum
+    // whichever rank wrote it last.
     const std::vector<double> contribution = {0.1 * (env.rank + 1),
                                               0.2 * (env.rank + 1)};
+    const auto first_slot = static_cast<std::size_t>(2 * env.rank);
     r.contiguous_sum = env.fabric->allreduce_ordered(
-        env.rank, 0, std::span<const double>(contribution.data(), contribution.size()));
-    const std::vector<std::int64_t> slots = {1, 0};
+        env.rank, first_slot,
+        std::span<const double>(contribution.data(), contribution.size()));
+    const std::vector<std::int64_t> slots = {2 * env.rank + 1, 2 * env.rank};
     r.indexed_sum = env.fabric->allreduce_ordered(
         env.rank, std::span<const std::int64_t>(slots.data(), slots.size()),
         std::span<const double>(contribution.data(), contribution.size()));
@@ -57,10 +62,10 @@ ExchangeResult run_exchange(Fabric& fab) {
 }
 
 TEST(LatencyFabric, ForwardsPayloadsAndReductionsBitwise) {
-  InProcessFabric bare(2, 2);
+  InProcessFabric bare(/*n_ranks=*/2, /*reduce_slots=*/4);
   const ExchangeResult want = run_exchange(bare);
 
-  InProcessFabric inner(2, 2);
+  InProcessFabric inner(/*n_ranks=*/2, /*reduce_slots=*/4);
   LatencyFabric latency(inner);
   // A real (tiny) modeled network: the sleeps must not perturb numerics.
   latency.add_policy(std::make_unique<ModeledNetworkPolicy>(

@@ -76,13 +76,15 @@ TEST_P(DenseSweep, QuadraticFormIsNonNegative) {
 }
 
 TEST_P(DenseSweep, DiagonalMatchesAnalyticFormula) {
+  const std::size_t n = ref_.points_per_element();
+  std::vector<double> diag(gf_.n_elements * n);
+  local_diagonals(ref_, gf_, 0.0, diag);
   for (std::size_t e = 0; e < 3; ++e) {
     const auto a = assemble_local_matrix(ref_, gf_, e);
-    const auto d = local_diagonal(ref_, gf_, e);
-    const std::size_t n = ref_.points_per_element();
     for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_NEAR(d[i], a[i * n + i], 1e-10 * std::max(1.0, std::abs(a[i * n + i])))
-          << "dof " << i;
+      ASSERT_NEAR(diag[e * n + i], a[i * n + i],
+                  1e-10 * std::max(1.0, std::abs(a[i * n + i])))
+          << "element " << e << " dof " << i;
     }
   }
 }
@@ -102,7 +104,8 @@ TEST(Dense, RejectsOutOfRangeElement) {
   const Mesh mesh(spec, ref);
   const GeomFactors gf = geometric_factors(mesh, ref);
   EXPECT_THROW(assemble_local_matrix(ref, gf, 1), std::invalid_argument);
-  EXPECT_THROW(local_diagonal(ref, gf, 7), std::invalid_argument);
+  std::vector<double> short_view(gf.ppe - 1);
+  EXPECT_THROW(local_diagonals(ref, gf, 0.0, short_view), std::invalid_argument);
 }
 
 }  // namespace

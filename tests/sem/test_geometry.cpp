@@ -79,17 +79,19 @@ TEST_P(GeometrySweep, TensorIsPositiveDefinitePointwise) {
   const Mesh mesh(spec, ref);
   const GeomFactors gf = geometric_factors(mesh, ref);
 
-  for (std::size_t p = 0; p < gf.n_elements * gf.ppe; ++p) {
-    const double* g = &gf.g[p * kGeomComponents];
-    // Sylvester's criterion on the symmetric 3x3 tensor.
-    const double m1 = g[kGrr];
-    const double m2 = g[kGrr] * g[kGss] - g[kGrs] * g[kGrs];
-    const double m3 = g[kGrr] * (g[kGss] * g[kGtt] - g[kGst] * g[kGst]) -
-                      g[kGrs] * (g[kGrs] * g[kGtt] - g[kGst] * g[kGrt]) +
-                      g[kGrt] * (g[kGrs] * g[kGst] - g[kGss] * g[kGrt]);
-    ASSERT_GT(m1, 0.0);
-    ASSERT_GT(m2, 0.0);
-    ASSERT_GT(m3, 0.0);
+  for (std::size_t e = 0; e < gf.n_elements; ++e) {
+    for (std::size_t ijk = 0; ijk < gf.ppe; ++ijk) {
+      const auto g = [&](int c) { return gf.at(e, ijk, c); };
+      // Sylvester's criterion on the symmetric 3x3 tensor.
+      const double m1 = g(kGrr);
+      const double m2 = g(kGrr) * g(kGss) - g(kGrs) * g(kGrs);
+      const double m3 = g(kGrr) * (g(kGss) * g(kGtt) - g(kGst) * g(kGst)) -
+                        g(kGrs) * (g(kGrs) * g(kGtt) - g(kGst) * g(kGrt)) +
+                        g(kGrt) * (g(kGrs) * g(kGst) - g(kGss) * g(kGrt));
+      ASSERT_GT(m1, 0.0);
+      ASSERT_GT(m2, 0.0);
+      ASSERT_GT(m3, 0.0);
+    }
   }
 }
 
@@ -113,22 +115,12 @@ TEST(Geometry, UniformScalingLaw) {
   const ReferenceElement ref(degree);
   const GeomFactors g1 = geometric_factors(Mesh(unit, ref), ref);
   const GeomFactors g2 = geometric_factors(Mesh(scaled, ref), ref);
-  for (std::size_t p = 0; p < g1.g.size(); ++p) {
-    EXPECT_NEAR(g2.g[p], s * g1.g[p], 1e-10 * std::max(1.0, std::abs(g1.g[p])));
-  }
-}
-
-TEST(Geometry, SplitMatchesInterleaved) {
-  BoxMeshSpec spec;
-  spec.degree = 4;
-  spec.deformation = Deformation::kSine;
-  const ReferenceElement ref(spec.degree);
-  const Mesh mesh(spec, ref);
-  const GeomFactors gf = geometric_factors(mesh, ref);
-  const auto split = split_geom(gf);
-  for (std::size_t p = 0; p < gf.n_elements * gf.ppe; ++p) {
-    for (int c = 0; c < kGeomComponents; ++c) {
-      EXPECT_DOUBLE_EQ(split[static_cast<std::size_t>(c)][p], gf.g[p * kGeomComponents + c]);
+  for (std::size_t e = 0; e < g1.n_elements; ++e) {
+    for (std::size_t ijk = 0; ijk < g1.ppe; ++ijk) {
+      for (int c = 0; c < kGeomComponents; ++c) {
+        const double g = g1.at(e, ijk, c);
+        EXPECT_NEAR(g2.at(e, ijk, c), s * g, 1e-10 * std::max(1.0, std::abs(g)));
+      }
     }
   }
 }

@@ -3,6 +3,7 @@
 /// same-key requests in FIFO order, and scripted reject@/timeout@ faults
 /// surface as the same rejected/expired outcomes real overload would.
 
+#include <cmath>
 #include <future>
 #include <stdexcept>
 
@@ -97,6 +98,8 @@ TEST(SolveServer, ScriptedRejectAndTimeoutFaultsBecomeOutcomes) {
   const SolveResponse solved = ok.get();
   EXPECT_EQ(solved.outcome, Outcome::kSolved);
   EXPECT_TRUE(solved.converged || solved.iterations == 5);
+  EXPECT_TRUE(std::isfinite(solved.setup_seconds));
+  EXPECT_GE(solved.setup_seconds, 0.0);
 
   const SolveResponse expired = doomed.get();
   EXPECT_EQ(expired.outcome, Outcome::kExpired);

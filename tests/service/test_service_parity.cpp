@@ -3,6 +3,7 @@
 /// solve_standalone() of the same request — for every backend x operator
 /// kind, through the setup cache, and through batched fpga-sim dispatch.
 
+#include <cmath>
 #include <future>
 #include <string>
 #include <vector>
@@ -25,6 +26,13 @@ SolveRequest request_for(solver::OperatorKind kind, std::uint64_t seed) {
   request.tolerance = 0.0;
   request.return_solution = true;
   return request;
+}
+
+/// The server reports the batch's set-up time on every solved response.
+/// Only its sanity is checked: wall time is not a bitwise quantity.
+void expect_setup_time_recorded(const SolveResponse& response) {
+  EXPECT_TRUE(std::isfinite(response.setup_seconds));
+  EXPECT_GE(response.setup_seconds, 0.0);
 }
 
 void expect_bitwise_equal(const SolveResponse& got, const SolveResponse& want) {
@@ -57,6 +65,8 @@ TEST(ServiceParity, EveryBackendAndOperatorMatchesStandaloneBitwise) {
 
       expect_bitwise_equal(cold, standalone);
       expect_bitwise_equal(warm, standalone);
+      expect_setup_time_recorded(cold);
+      expect_setup_time_recorded(warm);
       EXPECT_TRUE(warm.setup_cache_hit);
     }
   }
@@ -85,6 +95,7 @@ TEST(ServiceParity, BatchedFpgaDispatchMatchesStandaloneBitwise) {
     const SolveResponse response = futures[i].get();
     EXPECT_EQ(response.batch_size, 4);
     expect_bitwise_equal(response, oracles[i]);
+    expect_setup_time_recorded(response);
   }
   server.stop();
   const ServerStats stats = server.stats();

@@ -4,6 +4,7 @@
 /// identical payloads whichever worker/batch/cache path served them, and
 /// that the abort path unblocks clients without hanging.
 
+#include <cmath>
 #include <future>
 #include <thread>
 #include <vector>
@@ -63,6 +64,8 @@ TEST(ServiceStress, ConcurrentTenantsAllResolveWithIdenticalPayloadsPerKey) {
       const SolveResponse response =
           futures[static_cast<std::size_t>(c)][static_cast<std::size_t>(i)].get();
       ASSERT_EQ(response.outcome, Outcome::kSolved);
+      EXPECT_TRUE(std::isfinite(response.setup_seconds));
+      EXPECT_GE(response.setup_seconds, 0.0);
       if (!seen[static_cast<std::size_t>(key)]) {
         reference[static_cast<std::size_t>(key)] = response;
         seen[static_cast<std::size_t>(key)] = true;

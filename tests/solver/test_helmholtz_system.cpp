@@ -167,17 +167,12 @@ TEST(HelmholtzSystem, DiagonalPicksUpTheAssembledMassTerm) {
   const sem::Mesh mesh = make_mesh(4);
   HelmholtzSystem system(mesh, kLambda);
 
-  // Rebuild the expectation with the same canonical machinery: per-element
-  // stiffness diagonals plus lambda * mass, assembled by qqt, masked to 1.
+  // Rebuild the expectation with the same canonical machinery: the raw
+  // stiffness diagonals, then lambda * mass in a pass of its own, assembled
+  // by qqt, masked to 1.
   const std::size_t n = system.n_local();
-  const std::size_t ppe = system.ref().points_per_element();
   aligned_vector<double> expected(n);
-  for (std::size_t e = 0; e < system.geom().n_elements; ++e) {
-    const auto d = sem::local_diagonal(system.ref(), system.geom(), e);
-    for (std::size_t p = 0; p < ppe; ++p) {
-      expected[e * ppe + p] = d[p];
-    }
-  }
+  sem::local_diagonals(system.ref(), system.geom(), 0.0, expected);
   for (std::size_t p = 0; p < n; ++p) {
     expected[p] += kLambda * system.geom().mass[p];
   }
