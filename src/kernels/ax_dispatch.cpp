@@ -1,6 +1,7 @@
 #include "kernels/ax_dispatch.hpp"
 
 #include "common/check.hpp"
+#include "common/fixed_order.hpp"
 #include "common/parallel.hpp"
 #include "kernels/ax_internal.hpp"
 #include "kernels/fused_sweep.hpp"
@@ -41,28 +42,12 @@ void ax_run_range(AxVariant variant, const AxArgs& args, std::size_t e_begin,
       detail::ax_mxm_range(args, e_begin, e_end, /*blocked=*/true);
       return;
     case AxVariant::kFixed:
-      switch (args.n1d) {
-        case 2: ax_fixed_n1d<2>(args, e_begin, e_end); return;
-        case 3: ax_fixed_n1d<3>(args, e_begin, e_end); return;
-        case 4: ax_fixed_n1d<4>(args, e_begin, e_end); return;
-        case 5: ax_fixed_n1d<5>(args, e_begin, e_end); return;
-        case 6: ax_fixed_n1d<6>(args, e_begin, e_end); return;
-        case 7: ax_fixed_n1d<7>(args, e_begin, e_end); return;
-        case 8: ax_fixed_n1d<8>(args, e_begin, e_end); return;
-        case 9: ax_fixed_n1d<9>(args, e_begin, e_end); return;
-        case 10: ax_fixed_n1d<10>(args, e_begin, e_end); return;
-        case 11: ax_fixed_n1d<11>(args, e_begin, e_end); return;
-        case 12: ax_fixed_n1d<12>(args, e_begin, e_end); return;
-        case 13: ax_fixed_n1d<13>(args, e_begin, e_end); return;
-        case 14: ax_fixed_n1d<14>(args, e_begin, e_end); return;
-        case 15: ax_fixed_n1d<15>(args, e_begin, e_end); return;
-        case 16: ax_fixed_n1d<16>(args, e_begin, e_end); return;
-        case 17: ax_fixed_n1d<17>(args, e_begin, e_end); return;
-        default:
-          // Orders outside the instantiated range take the runtime-order body.
-          detail::ax_reference_range(args, e_begin, e_end);
-          return;
-      }
+      // Orders outside the instantiated range take the runtime-order body.
+      dispatch_n1d(
+          args.n1d,
+          [&](auto nx) { ax_fixed_n1d<decltype(nx)::value>(args, e_begin, e_end); },
+          [&] { detail::ax_reference_range(args, e_begin, e_end); });
+      return;
   }
 }
 

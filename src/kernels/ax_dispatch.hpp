@@ -21,6 +21,7 @@
 #include <array>
 #include <string>
 
+#include "common/fixed_order.hpp"
 #include "kernels/ax.hpp"
 
 namespace semfpga::kernels {
@@ -113,14 +114,10 @@ struct AxFusedScatter {
 void ax_run_fused(AxVariant variant, const AxArgs& args, const AxFusedScatter& fused,
                   const AxExecPolicy& policy = {});
 
-/// Smallest/largest polynomial-order template instantiation: n1d outside
-/// [kAxFixedMinN1d, kAxFixedMaxN1d] takes the runtime-order fallback.
-inline constexpr int kAxFixedMinN1d = 2;
-inline constexpr int kAxFixedMaxN1d = 17;
-
 /// Compile-time-order element batch: fully unrolled inner contractions,
 /// i-vectorised loads, for elements [e_begin, e_end).  Explicitly
-/// instantiated for N1D in [kAxFixedMinN1d, kAxFixedMaxN1d].
+/// instantiated for N1D in [kFixedMinN1d, kFixedMaxN1d] (fixed_order.hpp);
+/// the engine runs other orders through the runtime-order fallback.
 /// \pre args.n1d == N1D.
 template <int N1D>
 void ax_fixed_n1d(const AxArgs& args, std::size_t e_begin, std::size_t e_end);

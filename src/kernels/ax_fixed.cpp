@@ -1,6 +1,6 @@
 #include <cstddef>
-#include <vector>
 
+#include "common/aligned.hpp"
 #include "kernels/ax.hpp"
 #include "kernels/ax_dispatch.hpp"
 
@@ -117,8 +117,9 @@ template <int N1D>
 void ax_fixed_n1d(const AxArgs& args, std::size_t e_begin, std::size_t e_end) {
   constexpr std::size_t ppe = static_cast<std::size_t>(N1D) * N1D * N1D;
   // Per-thread scratch survives across calls, so short ranges (the fused
-  // sweep's cache-sized chunks) pay no allocation.
-  static thread_local std::vector<double> shur(ppe), shus(ppe), shut(ppe);
+  // sweep's cache-sized chunks) pay no allocation.  64-byte aligned, so no
+  // vector access to it splits a cache line.
+  static thread_local aligned_vector<double> shur(ppe), shus(ppe), shut(ppe);
   for (std::size_t e = e_begin; e < e_end; ++e) {
     ax_element_fixed<N1D>(args.u.data() + e * ppe, args.w.data() + e * ppe,
                           args.g.data() + sem::geom_index(ppe, e, 0, 0), args.dx.data(),

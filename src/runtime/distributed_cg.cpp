@@ -254,10 +254,11 @@ ResilientSolveResult solve_distributed_resilient(const ResilientSolveConfig& con
 
   FaultInjector injector(parse_fault_plan(config.faults));
   // An unscripted stall must outlive every peer's deadline, or it would
-  // degrade into an undetected delay.
+  // degrade into an undetected delay.  The fabric ends the hold as soon as
+  // the peers have timed out, so the cap only bounds a peer that never
+  // arrives; it leaves a late peer many deadlines of slack.
   injector.set_default_stall_seconds(
-      base.fabric_timeout_seconds > 0.0 ? base.fabric_timeout_seconds * 2.0 + 0.05
-                                        : 0.5);
+      base.fabric_timeout_seconds > 0.0 ? base.fabric_timeout_seconds * 20.0 + 1.0 : 0.5);
 
   ResilientSolveResult out;
   out.solve.n_local = n_global;

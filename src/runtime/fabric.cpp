@@ -78,7 +78,8 @@ InProcessFabric::InProcessFabric(int n_ranks, std::size_t reduce_slots,
     : n_ranks_(n_ranks),
       timeout_seconds_(timeout_seconds),
       edges_(static_cast<std::size_t>(n_ranks) * static_cast<std::size_t>(n_ranks)),
-      slots_(reduce_slots, 0.0) {
+      slots_(reduce_slots),
+      claims_(reduce_slots) {
   SEMFPGA_CHECK(n_ranks >= 1, "fabric needs at least one rank");
   // Registry lookup here (construction, cold) so the blocking paths only
   // touch the cached pointer — never the registry mutex.
@@ -209,23 +210,15 @@ double InProcessFabric::allreduce_ordered(int rank, std::size_t slot_begin,
   OBS_SPAN("fabric.allreduce");
   SEMFPGA_CHECK(slot_begin + contribution.size() <= slots_.size(),
                 "allreduce contribution overflows the slot vector");
-  if (injector_ != nullptr) {
-    // Scripted stall: this rank sleeps past the peers' deadline, so every
-    // other rank times out in the entry barrier below.
-    injector_->on_collective(rank);
+  stall_if_due(rank);
+  for (std::size_t i = 0; i < contribution.size(); ++i) {
+    claim_slot(rank, slot_begin + i, contribution[i]);
   }
-  std::copy(contribution.begin(), contribution.end(), slots_.begin() + slot_begin);
   barrier_at(rank, "allreduce");  // all contributions visible
-  // Every rank folds the identical canonical slot vector through the same
-  // fixed tree — redundantly, which is how the in-process transport spells
-  // "allreduce": the combine order never depends on the rank count.  The
-  // fold scratch is per-thread (one thread per rank) and reused across the
-  // 3 allreduces of every CG iteration — no allocation on the hot path.
-  thread_local std::vector<double> fold;
-  fold.assign(slots_.begin(), slots_.end());
-  const double result = tree_fold(fold);
-  barrier_at(rank, "allreduce");  // nobody re-posts slots while a rank is still reading
-  return result;
+  for (std::size_t i = 0; i < contribution.size(); ++i) {
+    check_claim(rank, slot_begin + i);
+  }
+  return fold_slots(rank);
 }
 
 double InProcessFabric::allreduce_ordered(int rank,
@@ -234,17 +227,75 @@ double InProcessFabric::allreduce_ordered(int rank,
   OBS_SPAN("fabric.allreduce");
   SEMFPGA_CHECK(slots.size() == contribution.size(),
                 "allreduce slot list and contribution must have equal length");
-  if (injector_ != nullptr) {
-    injector_->on_collective(rank);
+  for (const std::int64_t s : slots) {
+    SEMFPGA_CHECK(s >= 0 && static_cast<std::size_t>(s) < slots_.size(),
+                  "allreduce slot index out of range");
   }
+  stall_if_due(rank);
   for (std::size_t i = 0; i < slots.size(); ++i) {
-    const auto s = static_cast<std::size_t>(slots[i]);
-    SEMFPGA_CHECK(s < slots_.size(), "allreduce slot index out of range");
-    slots_[s] = contribution[i];
+    claim_slot(rank, static_cast<std::size_t>(slots[i]), contribution[i]);
   }
   barrier_at(rank, "allreduce");  // all contributions visible
+  for (const std::int64_t s : slots) {
+    check_claim(rank, static_cast<std::size_t>(s));
+  }
+  return fold_slots(rank);
+}
+
+void InProcessFabric::stall_if_due(int rank) {
+  if (injector_ == nullptr) {
+    return;
+  }
+  const double cap = injector_->on_collective(rank);
+  if (cap <= 0.0) {
+    return;
+  }
+  // Scripted stall: hold this rank at the allreduce entry until no peer
+  // is left waiting on a deadline — a peer timed out and the launcher
+  // poisoned the fabric, or every peer recorded its own timeout — or until
+  // the cap.  Holding for a fixed time instead would let a peer that
+  // arrives late find the contributions complete before its deadline.
+  const auto start = std::chrono::steady_clock::now();
+  const auto peers_timed_out = [this] {
+    const std::lock_guard<std::mutex> lock(timeout_mutex_);
+    return timeout_events_.size() >= static_cast<std::size_t>(n_ranks_ - 1);
+  };
+  while (!poisoned_.load(std::memory_order_acquire) && !peers_timed_out() &&
+         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count() <
+             cap) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+void InProcessFabric::claim_slot(int rank, std::size_t slot, double value) {
+  slots_[slot].store(value, std::memory_order_relaxed);
+  claims_[slot].store(rank, std::memory_order_relaxed);
+}
+
+void InProcessFabric::check_claim(int rank, std::size_t slot) {
+  // After the entry barrier every claim of this collective is visible, and
+  // a slot claimed twice holds the last claimer's rank: the overwritten
+  // rank finds a foreign owner on a slot it wrote.
+  const int owner = claims_[slot].load(std::memory_order_relaxed);
+  if (owner != rank) {
+    poison();
+    SEMFPGA_CHECK(false, "allreduce slot " + std::to_string(slot) + " claimed by ranks " +
+                             std::to_string(rank) + " and " + std::to_string(owner) +
+                             ": the ranks' slot lists must be disjoint");
+  }
+}
+
+double InProcessFabric::fold_slots(int rank) {
+  // Every rank folds the identical canonical slot vector through the same
+  // fixed tree — redundantly, which is how the in-process transport spells
+  // "allreduce": the combine order never depends on the rank count.  The
+  // fold scratch is per-thread (one thread per rank) and reused across the
+  // 3 allreduces of every CG iteration — no allocation on the hot path.
   thread_local std::vector<double> fold;
-  fold.assign(slots_.begin(), slots_.end());
+  fold.resize(slots_.size());
+  for (std::size_t s = 0; s < slots_.size(); ++s) {
+    fold[s] = slots_[s].load(std::memory_order_relaxed);
+  }
   const double result = tree_fold(fold);
   barrier_at(rank, "allreduce");  // nobody re-posts slots while a rank is still reading
   return result;

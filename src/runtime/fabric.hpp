@@ -121,7 +121,9 @@ class Fabric {
   /// slot per *global element*, and a block's elements are strided in the
   /// global element order — the contiguous variant cannot express that.
   /// Same tiling contract (the ranks' slot lists are disjoint and cover
-  /// the slot vector), same bitwise-canonical tree fold.
+  /// the slot vector), same bitwise-canonical tree fold.  InProcessFabric
+  /// ends a collective in which two ranks claim one slot with
+  /// std::invalid_argument on the overwritten rank and poisons its peers.
   virtual double allreduce_ordered(int rank, std::span<const std::int64_t> slots,
                                    std::span<const double> contribution) = 0;
 };
@@ -168,6 +170,15 @@ class InProcessFabric final : public Fabric {
                                   double waited_seconds);
   /// Collective barrier attributed to `site` ("barrier" or "allreduce").
   void barrier_at(int rank, const char* site);
+  /// Holds `rank` at an allreduce entry while the injector's stall is due.
+  void stall_if_due(int rank);
+  /// Writes one contribution and tags the slot with the claiming rank.
+  void claim_slot(int rank, std::size_t slot, double value);
+  /// After the entry barrier: poisons the fabric and throws
+  /// std::invalid_argument when another rank claimed `slot` too.
+  void check_claim(int rank, std::size_t slot);
+  /// Folds the slot vector, then holds the exit barrier.
+  double fold_slots(int rank);
 
   /// SPSC mailbox of one directed edge.  seq is even when the slot is
   /// empty, odd while a message waits; sender and receiver each flip it
@@ -187,7 +198,11 @@ class InProcessFabric final : public Fabric {
   std::atomic<std::uint32_t> barrier_epoch_{0};
   std::atomic<bool> poisoned_{false};
 
-  std::vector<double> slots_;  ///< allreduce contributions, one write per slot
+  /// Allreduce contributions and the rank that claimed each slot.  Atomic
+  /// (relaxed; the barriers order them) so that two ranks claiming one
+  /// slot are a detected error, not a data race.
+  std::vector<std::atomic<double>> slots_;
+  std::vector<std::atomic<int>> claims_;
 
   FaultInjector* injector_ = nullptr;
 

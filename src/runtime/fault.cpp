@@ -1,10 +1,8 @@
 #include "runtime/fault.hpp"
 
-#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <thread>
 
 #include "common/check.hpp"
 #include "obs/obs.hpp"
@@ -124,12 +122,6 @@ FaultSpec parse_one(const std::string& spec) {
   SEMFPGA_CHECK(have_rank && have_iteration,
                 "malformed fault spec '" + spec + "': needs both rR and iI");
   return out;
-}
-
-void sleep_seconds(double seconds) {
-  if (seconds > 0.0) {
-    std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-  }
 }
 
 }  // namespace
@@ -322,19 +314,20 @@ double FaultInjector::take_send_delay(int from, int to) {
   return seconds;
 }
 
-void FaultInjector::on_collective(int rank) {
+double FaultInjector::on_collective(int rank) {
   const auto r = static_cast<std::size_t>(rank);
   const int iteration = r < iterations_.size() ? iterations_[r] : 0;
+  double seconds = 0.0;
   for (std::size_t i = 0; i < specs_.size(); ++i) {
     if (!fire(i, FaultSite::kAllreduce, rank, iteration)) {
       continue;
     }
     const FaultSpec& spec = specs_[i];
-    const double seconds = spec.seconds > 0.0 ? spec.seconds : default_stall_seconds_;
-    record(spec, iteration,
-           "stalled allreduce entry for " + std::to_string(seconds) + "s");
-    sleep_seconds(seconds);
+    const double s = spec.seconds > 0.0 ? spec.seconds : default_stall_seconds_;
+    record(spec, iteration, "stalled allreduce entry for up to " + std::to_string(s) + "s");
+    seconds += s;
   }
+  return seconds;
 }
 
 bool FaultInjector::fire_request(FaultKind kind, int request_id,

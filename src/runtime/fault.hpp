@@ -27,8 +27,9 @@
 ///                        turns the loss into a FabricTimeoutError)
 ///     nan@r1:i3          corrupts that send's payload with a quiet NaN
 ///     bitflip@r0:i2      flips a high exponent bit in the payload instead
-///     stall@r3:i6        rank 3 sleeps at its next allreduce entry long
-///                        enough for every peer's fabric deadline to expire
+///     stall@r3:i6        rank 3 holds at its next allreduce entry until
+///                        the peers' fabric deadlines have expired (capped
+///                        at the default, or at :sSECONDS)
 ///
 /// Request-level kinds (the solve-service tier, src/service/):
 ///
@@ -120,8 +121,10 @@ class FaultInjector {
 
   [[nodiscard]] bool empty() const noexcept { return specs_.empty(); }
 
-  /// Stall sleep used when a stall spec carries no :sSECONDS — the driver
-  /// sets this past the fabric deadline so peers time out deterministically.
+  /// Stall cap used when a stall spec carries no :sSECONDS —
+  /// solve_distributed_resilient sets this well past the fabric deadline,
+  /// so a peer that reaches the collective late still times out before the
+  /// stall ends.
   void set_default_stall_seconds(double seconds) noexcept {
     default_stall_seconds_ = seconds;
   }
@@ -149,8 +152,11 @@ class FaultInjector {
   /// latency, the same seam the network model charges.
   [[nodiscard]] double take_send_delay(int from, int to);
 
-  /// Allreduce-entry hook; sleeps when a stall fault is due on `rank`.
-  void on_collective(int rank);
+  /// Allreduce-entry hook: claims every due stall fault on `rank`, records
+  /// it, and returns the longest the fabric may hold the rank (0 when none
+  /// is due).  The hold itself happens in the fabric, which ends it early
+  /// once no peer is left waiting on a deadline.
+  [[nodiscard]] double on_collective(int rank);
 
   /// Request-admission hook (solve service): true when a reject@ fault
   /// names `request_id`, in which case the caller must refuse admission as

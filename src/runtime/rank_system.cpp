@@ -111,14 +111,15 @@ RankSystem::RankSystem(const sem::Mesh& global_mesh, const BlockPartition& part,
   // because corner/edge rows need the raw copies to replay the canonical
   // global fold.  Masked DOFs are pinned to exactly 1.0, as in the
   // single-rank constructor.
-  aligned_vector<double> raw(n);
   const double lambda =
       options.kind == solver::OperatorKind::kHelmholtz ? options.helmholtz_lambda : 0.0;
-  sem::local_diagonals(system_->ref(), system_->geom(), lambda, raw);
-  qqt(std::span<double>(raw.data(), n));
   diagonal_.resize(n);
+  sem::local_diagonals(system_->ref(), system_->geom(), lambda, diagonal_);
+  qqt(std::span<double>(diagonal_.data(), n));
   for (std::size_t p = 0; p < n; ++p) {
-    diagonal_[p] = mask[p] != 0.0 ? raw[p] : 1.0;
+    if (mask[p] == 0.0) {
+      diagonal_[p] = 1.0;
+    }
   }
 
   for (std::size_t p = 0; p < n; ++p) {

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "common/fixed_order.hpp"
 
 namespace semfpga::sem {
 namespace {
@@ -99,12 +100,18 @@ std::vector<double> dense_apply(const std::vector<double>& a, const std::vector<
   return y;
 }
 
-void local_diagonals(const ReferenceElement& ref, const GeomFactors& gf,
+namespace {
+
+/// local_diagonals at order NX (NX == 0: the runtime order of `ref`).  Each
+/// node's diagonal is one scalar accumulator; at a compile-time order the
+/// length-NX line sums unroll and the nodes of a row vectorise side by
+/// side, every lane keeping the per-node ascending-l order.
+template <int NX>
+void build_diagonals(const ReferenceElement& ref, const GeomFactors& gf,
                      double mass_lambda, std::span<double> out) {
   const std::size_t ppe = gf.ppe;
-  SEMFPGA_CHECK(out.size() == gf.n_elements * ppe, "diagonal view must cover every element");
-  SEMFPGA_CHECK(ref.points_per_element() == ppe, "reference element degree mismatch");
-  const std::size_t n = static_cast<std::size_t>(ref.n1d());
+  const std::size_t n = NX > 0 ? static_cast<std::size_t>(NX)
+                               : static_cast<std::size_t>(ref.n1d());
   const std::size_t n2 = n * n;
   const double* d = ref.deriv().d.data();
 
@@ -119,33 +126,24 @@ void local_diagonals(const ReferenceElement& ref, const GeomFactors& gf,
     for (std::size_t k = 0; k < n; ++k) {
       for (std::size_t j = 0; j < n; ++j) {
         const std::size_t row = n * j + n2 * k;
-        double* acc = diag + row;
-        for (std::size_t i = 0; i < n; ++i) {
-          acc[i] = 0.0;
-        }
-        // Same-direction terms: sum over the quadrature line through each
-        // node, vectorised over i.
-        for (std::size_t l = 0; l < n; ++l) {
-          const double* dl = d + l * n;
-          const double dlj = dl[j];
-          const double dlk = dl[k];
-          const double grr_l = grr[l + row];
-          const double* gss_l = gss + n * l + n2 * k;
-          const double* gtt_l = gtt + n * j + n2 * l;
-          for (std::size_t i = 0; i < n; ++i) {
-            acc[i] += grr_l * dl[i] * dl[i];
-            acc[i] += gss_l[i] * dlj * dlj;
-            acc[i] += gtt_l[i] * dlk * dlk;
-          }
-        }
-        // Cross terms collapse to the diagonal D entries at each node.
         const double djj = d[j * n + j];
         const double dkk = d[k * n + k];
         for (std::size_t i = 0; i < n; ++i) {
+          // Same-direction terms: sum over the quadrature line through the
+          // node.
+          double acc = 0.0;
+          for (std::size_t l = 0; l < n; ++l) {
+            const double* dl = d + l * n;
+            acc += grr[l + row] * dl[i] * dl[i];
+            acc += gss[i + n * l + n2 * k] * dl[j] * dl[j];
+            acc += gtt[i + n * j + n2 * l] * dl[k] * dl[k];
+          }
+          // Cross terms collapse to the diagonal D entries at the node.
           const double dii = d[i * n + i];
-          acc[i] += 2.0 * grs[row + i] * dii * djj;
-          acc[i] += 2.0 * grt[row + i] * dii * dkk;
-          acc[i] += 2.0 * gst[row + i] * djj * dkk;
+          acc += 2.0 * grs[row + i] * dii * djj;
+          acc += 2.0 * grt[row + i] * dii * dkk;
+          acc += 2.0 * gst[row + i] * djj * dkk;
+          diag[row + i] = acc;
         }
       }
     }
@@ -156,6 +154,19 @@ void local_diagonals(const ReferenceElement& ref, const GeomFactors& gf,
       }
     }
   }
+}
+
+}  // namespace
+
+void local_diagonals(const ReferenceElement& ref, const GeomFactors& gf,
+                     double mass_lambda, std::span<double> out) {
+  SEMFPGA_CHECK(out.size() == gf.n_elements * gf.ppe,
+                "diagonal view must cover every element");
+  SEMFPGA_CHECK(ref.points_per_element() == gf.ppe, "reference element degree mismatch");
+  dispatch_n1d(
+      ref.n1d(),
+      [&](auto nx) { build_diagonals<decltype(nx)::value>(ref, gf, mass_lambda, out); },
+      [&] { build_diagonals<0>(ref, gf, mass_lambda, out); });
 }
 
 }  // namespace semfpga::sem

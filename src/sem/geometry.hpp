@@ -51,9 +51,6 @@ struct GeomFactors {
   /// Helmholtz variant and by right-hand-side assembly): [e*ppe + ijk].
   aligned_vector<double> mass;
 
-  /// Raw Jacobian determinant per DOF (diagnostics / mesh validity checks).
-  aligned_vector<double> jac_det;
-
   [[nodiscard]] double at(std::size_t e, std::size_t ijk, int c) const noexcept {
     return g[geom_index(ppe, e, c, ijk)];
   }

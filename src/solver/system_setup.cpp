@@ -43,14 +43,16 @@ SystemSetup::SystemSetup(std::unique_ptr<const sem::Mesh> owned,
 
   {
     OBS_SPAN("setup.diagonal");
-    // Assembled Jacobi diagonal: local diagonals (plus the mass term for
-    // Helmholtz-type systems) summed across elements in canonical order.
-    aligned_vector<double> local_diag(n);
-    sem::local_diagonals(ref, geom, mass_lambda, local_diag);
-    gs.qqt(local_diag);
+    // Assembled Jacobi diagonal, built in place: local diagonals (plus the
+    // mass term for Helmholtz-type systems) summed across elements in
+    // canonical order, then pinned to 1 on masked DOFs.
     diagonal.resize(n);
+    sem::local_diagonals(ref, geom, mass_lambda, diagonal);
+    gs.qqt(diagonal);
     for (std::size_t p = 0; p < n; ++p) {
-      diagonal[p] = mask[p] != 0.0 ? local_diag[p] : 1.0;
+      if (mask[p] == 0.0) {
+        diagonal[p] = 1.0;
+      }
     }
   }
 

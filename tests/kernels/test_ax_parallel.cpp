@@ -132,9 +132,9 @@ TEST(AxFixedN1d, PartialRangeTouchesOnlyThoseElements) {
 }
 
 TEST(AxFixedN1d, OrdersOutsideTemplateRangeFallBackToReference) {
-  // degree 17 -> n1d 18 > kAxFixedMaxN1d: the fixed dispatch must still be
+  // degree 17 -> n1d 18 > kFixedMaxN1d: the fixed dispatch must still be
   // correct (runtime-order body), and bitwise equal to the reference.
-  ASSERT_GT(18, kAxFixedMaxN1d);
+  ASSERT_GT(18, kFixedMaxN1d);
   Workload wl(17, sem::Deformation::kSine);
   ax_run(AxVariant::kFixed, wl.args(), AxExecPolicy{1});
   for (std::size_t p = 0; p < wl.w.size(); ++p) {

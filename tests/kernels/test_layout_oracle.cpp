@@ -373,9 +373,11 @@ TEST_P(GeometryOracle, DiagonalEqualsFrozenPerElementBuild) {
   EXPECT_TRUE(bitwise_equal(helmholtz.data(), expected_helmholtz.data(), helmholtz.size()));
 }
 
+// Degree 17 (n1d 18) lies above kFixedMaxN1d: it pins the builders'
+// runtime-order path next to every compile-time order.
 INSTANTIATE_TEST_SUITE_P(
     DegreesAndDeformations, GeometryOracle,
-    ::testing::Combine(::testing::Range(1, 17),
+    ::testing::Combine(::testing::Range(1, 18),
                        ::testing::Values(sem::Deformation::kNone, sem::Deformation::kSine,
                                          sem::Deformation::kTwist)),
     [](const ::testing::TestParamInfo<GeomCase>& tpi) {

@@ -3,8 +3,10 @@
 /// launcher's team accounting and error propagation.
 
 #include <atomic>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -101,6 +103,34 @@ TEST(Fabric, OrderedAllreduceMatchesTreeFoldOnEveryRank) {
   const double want = tree_fold(copy);
   for (const double r : results) {
     EXPECT_EQ(r, want);  // bitwise: same canonical fold on every rank
+  }
+}
+
+TEST(Fabric, OverlappingAllreduceSlotClaimsThrow) {
+  // Slot 1 is claimed by both ranks, through each overload: the collective
+  // must end in the typed error on every attempt, never return whichever
+  // value was written last.
+  for (const bool indexed : {false, true}) {
+    InProcessFabric fabric(2, 3);
+    try {
+      spmd_run(fabric, 1, [&](const RankEnv& env) {
+        const std::vector<double> mine = {1.0, 2.0};
+        const std::size_t begin = env.rank == 0 ? 0 : 1;
+        if (indexed) {
+          const std::vector<std::int64_t> slots = {static_cast<std::int64_t>(begin),
+                                                   static_cast<std::int64_t>(begin + 1)};
+          (void)env.fabric->allreduce_ordered(env.rank, slots, mine);
+        } else {
+          (void)env.fabric->allreduce_ordered(env.rank, begin, mine);
+        }
+      });
+      FAIL() << "overlapping claims returned a result (indexed=" << indexed << ")";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("allreduce slot 1 claimed by ranks"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_TRUE(fabric.timeout_events().empty()) << "peers must be poisoned, not time out";
   }
 }
 

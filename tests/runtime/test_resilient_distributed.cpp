@@ -217,7 +217,7 @@ TEST(ResilientDistributed, StalledAllreduceTimesOutAndRetries) {
 
 TEST(ResilientDistributed, SingleRankFaultMatrixNeverDeadlocks) {
   // At one rank there is no halo traffic and no peer to time out: halo
-  // faults stay dormant, a stall only slows the solve, a crash retries in
+  // faults stay dormant, a stall has no peer to outlast, a crash retries in
   // place.  Every case must complete (bounded waits guarantee no deadlock).
   const solver::CgOptions options = converging_options();
   for (const char* faults :

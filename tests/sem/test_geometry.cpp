@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -37,7 +39,7 @@ TEST(Geometry, AffineBoxFactorsAreDiagonalAndExact) {
           EXPECT_NEAR(gf.at(e, ijk, kGrs), 0.0, 1e-12);
           EXPECT_NEAR(gf.at(e, ijk, kGrt), 0.0, 1e-12);
           EXPECT_NEAR(gf.at(e, ijk, kGst), 0.0, 1e-12);
-          EXPECT_NEAR(gf.jac_det[e * gf.ppe + ijk], det, 1e-12);
+          EXPECT_NEAR(gf.mass[e * gf.ppe + ijk] / w, det, 1e-12);
         }
       }
     }
@@ -137,6 +139,32 @@ TEST(Geometry, TangledMeshIsRejected) {
         (void)geometric_factors(mesh, ref);
       },
       std::invalid_argument);
+}
+
+TEST(Geometry, TangledElementMessageAtEveryOrderPath) {
+  // Degree 5 takes a compile-time-order body, degree 17 (n1d 18) the
+  // runtime-order one; both must reject the folded element with the same
+  // check and message.
+  const std::string want =
+      "check `det > 0.0` failed: element Jacobian must be positive (mesh is tangled or "
+      "deformation amplitude too large)";
+  for (const int degree : {5, 17}) {
+    BoxMeshSpec spec;
+    spec.degree = degree;
+    spec.nelx = spec.nely = spec.nelz = 1;
+    spec.deformation = Deformation::kSine;
+    spec.deformation_amplitude = 0.9;
+    const ReferenceElement ref(degree);
+    const Mesh mesh(spec, ref);
+    try {
+      (void)geometric_factors(mesh, ref);
+      FAIL() << "degree " << degree << ": tangled mesh accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      ASSERT_GE(what.size(), want.size()) << what;
+      EXPECT_EQ(what.substr(what.size() - want.size()), want) << "degree " << degree;
+    }
+  }
 }
 
 }  // namespace
