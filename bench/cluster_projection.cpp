@@ -1,6 +1,6 @@
 /// Partition-aware cluster projection: modeled strong/weak scaling of one
-/// CG iteration to 1024 ranks, with and without halo/compute overlap —
-/// the network-realistic extension of bench/cluster_scaling.
+/// CG iteration to 1024 ranks, with and without halo/compute overlap, for
+/// any partition kind (slab, pencil or 3D blocks).
 ///
 /// The model (arch::projected_strong_scaling / projected_weak_scaling)
 /// charges exactly the terms backend::NetworkChargingBackend charges at

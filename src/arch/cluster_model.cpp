@@ -59,86 +59,6 @@ ProjectionPoint project_one(const sem::BoxMeshSpec& spec, const DeviceKernelTime
 
 }  // namespace
 
-std::vector<ScalingPoint> strong_scaling(const sem::BoxMeshSpec& spec,
-                                         const DeviceKernelTime& kernel,
-                                         const NetworkSpec& network,
-                                         const std::vector<int>& rank_counts) {
-  SEMFPGA_CHECK(static_cast<bool>(kernel), "kernel time function must be callable");
-  SEMFPGA_CHECK(network.latency_us >= 0.0 && network.bandwidth_gbs > 0.0,
-                "network parameters must be sane");
-
-  std::vector<ScalingPoint> points;
-  double t1 = 0.0;  // single-rank iteration time, set by the first entry
-
-  for (const int ranks : rank_counts) {
-    const solver::SlabPartition part = solver::partition_slabs(spec, ranks);
-
-    ScalingPoint pt;
-    pt.ranks = ranks;
-    pt.ax_seconds = kernel(part.max_elements());
-
-    // Halo exchange: one message each way per shared plane, overlapped
-    // neighbours — the slowest rank posts up to two sends and receives.
-    if (ranks > 1) {
-      const double bytes = static_cast<double>(part.max_halo_bytes());
-      pt.halo_seconds = 2.0 * (network.latency_us * 1e-6 +
-                               bytes / (network.bandwidth_gbs * 1e9));
-      // Two allreduces per CG iteration (alpha and beta), log2 tree.
-      const double hops = std::ceil(std::log2(static_cast<double>(ranks)));
-      pt.allreduce_seconds = 2.0 * 2.0 * hops * network.latency_us * 1e-6;
-    }
-    pt.iteration_seconds = pt.ax_seconds + pt.halo_seconds + pt.allreduce_seconds;
-    if (points.empty() && ranks == 1) {
-      t1 = pt.iteration_seconds;
-    }
-    if (t1 > 0.0) {
-      pt.speedup = t1 / pt.iteration_seconds;
-      pt.efficiency = pt.speedup / ranks;
-    }
-    points.push_back(pt);
-  }
-  return points;
-}
-
-std::vector<ScalingPoint> weak_scaling(const sem::BoxMeshSpec& spec,
-                                       const DeviceKernelTime& kernel,
-                                       const NetworkSpec& network,
-                                       const std::vector<int>& rank_counts) {
-  SEMFPGA_CHECK(static_cast<bool>(kernel), "kernel time function must be callable");
-  SEMFPGA_CHECK(network.latency_us >= 0.0 && network.bandwidth_gbs > 0.0,
-                "network parameters must be sane");
-
-  std::vector<ScalingPoint> points;
-  double t1 = 0.0;
-  for (const int ranks : rank_counts) {
-    sem::BoxMeshSpec grown = spec;
-    grown.nelz = spec.nelz * ranks;  // constant layers per rank
-    const solver::SlabPartition part = solver::partition_slabs(grown, ranks);
-
-    ScalingPoint pt;
-    pt.ranks = ranks;
-    pt.ax_seconds = kernel(part.max_elements());
-    if (ranks > 1) {
-      const double bytes = static_cast<double>(part.max_halo_bytes());
-      pt.halo_seconds = 2.0 * (network.latency_us * 1e-6 +
-                               bytes / (network.bandwidth_gbs * 1e9));
-      const double hops = std::ceil(std::log2(static_cast<double>(ranks)));
-      pt.allreduce_seconds = 2.0 * 2.0 * hops * network.latency_us * 1e-6;
-    }
-    pt.iteration_seconds = pt.ax_seconds + pt.halo_seconds + pt.allreduce_seconds;
-    if (points.empty() && ranks == 1) {
-      t1 = pt.iteration_seconds;
-    }
-    if (t1 > 0.0) {
-      // Weak scaling: perfect growth keeps the iteration time flat.
-      pt.speedup = t1 / pt.iteration_seconds;
-      pt.efficiency = pt.speedup;
-    }
-    points.push_back(pt);
-  }
-  return points;
-}
-
 std::vector<ProjectionPoint> projected_strong_scaling(
     const sem::BoxMeshSpec& spec, const DeviceKernelTime& kernel,
     const NetworkSpec& network, const std::vector<int>& rank_counts,

@@ -1,73 +1,34 @@
 #pragma once
 /// \file cluster_model.hpp
-/// Strong-scaling model for clusters of accelerators running the SEM CG
-/// solve — an extension of the paper's single-device study to its own
-/// deployment context (Noctua is an FPGA cluster; Nek5000 runs at scale).
+/// Partition-aware scaling model for clusters of accelerators running the
+/// SEM CG solve — an extension of the paper's single-device study to its
+/// own deployment context (Noctua is an FPGA cluster; Nek5000 runs at
+/// scale).
 ///
-/// Per CG iteration each rank performs: one Ax on its slab, the halo
-/// exchange with its slab neighbours, and two global reductions.  The
-/// model composes a per-device kernel-time function with a latency/
-/// bandwidth network (log2 tree allreduce) and reports time, speedup and
-/// parallel efficiency.
+/// Per CG iteration each rank performs one Ax on its block of a
+/// runtime::partition_blocks partition, the halo exchange with its grid
+/// neighbours, and two global reductions.  The model composes a per-device
+/// kernel-time function with a latency/bandwidth network (log2 tree
+/// allreduce) and reports time, speedup and parallel efficiency.
 
 #include <cstdint>
 #include <functional>
 #include <vector>
 
+#include "arch/network.hpp"
 #include "runtime/partition.hpp"
-#include "solver/partition.hpp"
 
 namespace semfpga::arch {
-
-/// Interconnect description (per link, MPI-like).
-struct NetworkSpec {
-  double latency_us = 1.5;      ///< per-message latency
-  double bandwidth_gbs = 12.5;  ///< per-link bandwidth (100 Gb/s default)
-};
 
 /// Seconds one device needs for an Ax apply on `n_elements` elements.
 using DeviceKernelTime = std::function<double(std::int64_t n_elements)>;
 
-/// One point of a strong-scaling curve.
-struct ScalingPoint {
-  int ranks = 1;
-  double ax_seconds = 0.0;        ///< slowest rank's kernel time
-  double halo_seconds = 0.0;      ///< neighbour exchange
-  double allreduce_seconds = 0.0; ///< two dot-product reductions
-  double iteration_seconds = 0.0;
-  double speedup = 1.0;           ///< vs the 1-rank iteration time
-  double efficiency = 1.0;        ///< speedup / ranks
-};
-
-/// Strong-scaling sweep of one CG iteration over rank counts.
-/// \param spec     global problem (box mesh)
-/// \param kernel   per-device Ax time
-/// \param network  interconnect
-/// \param rank_counts  rank counts to evaluate (each <= spec.nelz)
-[[nodiscard]] std::vector<ScalingPoint> strong_scaling(
-    const sem::BoxMeshSpec& spec, const DeviceKernelTime& kernel,
-    const NetworkSpec& network, const std::vector<int>& rank_counts);
-
-/// Weak-scaling sweep: the box grows with the rank count
-/// (nelz = layers_per_rank * ranks), so each rank keeps a constant slab
-/// and the `speedup`/`efficiency` fields report t(1 rank)/t(r ranks) —
-/// the weak-scaling efficiency (1.0 = perfect: growth is free).  Per-rank
-/// kernel time stays flat by construction; the model attributes all loss
-/// to the halo and the deepening allreduce tree, which is what the
-/// measured runtime numbers in bench/cluster_scaling are compared
-/// against.
-/// \param spec  per-sweep template; spec.nelz is reinterpreted as the
-///              layers owned by each rank.
-[[nodiscard]] std::vector<ScalingPoint> weak_scaling(
-    const sem::BoxMeshSpec& spec, const DeviceKernelTime& kernel,
-    const NetworkSpec& network, const std::vector<int>& rank_counts);
-
-/// One point of the partition-aware cluster projection (the generalized
-/// model behind bench/cluster_projection): per CG iteration the worst rank
-/// pays its kernel time plus the non-overlapped remainder of its halo —
-/// one latency per grid neighbour plus its halo bytes over the link — and
-/// every rank pays two log-tree ordered allreduces.  With `overlap`, the
-/// interior fraction of the kernel time hides halo time (the runtime's
+/// One point of the partition-aware cluster projection (the model behind
+/// bench/cluster_projection): per CG iteration the worst rank pays its
+/// kernel time plus the non-overlapped remainder of its halo — one latency
+/// per grid neighbour plus its halo bytes over the link — and every rank
+/// pays two log-tree ordered allreduces.  With `overlap`, the interior
+/// fraction of the kernel time hides halo time (the runtime's
 /// post-surface/compute-interior schedule), and the credit is reported.
 struct ProjectionPoint {
   int ranks = 1;

@@ -2,9 +2,10 @@
 /// \file network.hpp
 /// Named interconnect presets and the shared `--network=` flag parser.
 ///
-/// One registry for every consumer of arch::NetworkSpec — the analytic
-/// cluster projection (arch/cluster_model.hpp), the real-time
-/// runtime::ModeledNetworkPolicy, and the NetworkChargingBackend — so a
+/// arch::NetworkSpec lives here, next to its registry, so every consumer —
+/// the analytic cluster projection (arch/cluster_model.hpp), the real-time
+/// runtime::ModeledNetworkPolicy, and the NetworkChargingBackend — shares
+/// one vocabulary without pulling in the partition or model headers, and a
 /// CLI `--network=eth-100g` means the same interconnect everywhere.
 ///
 /// Flag grammar:  a preset name ("eth-100g") or an inline
@@ -13,9 +14,13 @@
 #include <string>
 #include <vector>
 
-#include "arch/cluster_model.hpp"
-
 namespace semfpga::arch {
+
+/// Interconnect description (per link, MPI-like).
+struct NetworkSpec {
+  double latency_us = 1.5;      ///< per-message latency
+  double bandwidth_gbs = 12.5;  ///< per-link bandwidth (100 Gb/s default)
+};
 
 /// Returns the named preset.  Throws std::invalid_argument for unknown
 /// names, listing the registered ones.

@@ -26,7 +26,7 @@
 #include <memory>
 #include <string>
 
-#include "arch/cluster_model.hpp"
+#include "arch/network.hpp"
 #include "backend/backend.hpp"
 #include "backend/fpga_sim_backend.hpp"
 

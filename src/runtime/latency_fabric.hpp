@@ -27,7 +27,7 @@
 #include <memory>
 #include <vector>
 
-#include "arch/cluster_model.hpp"
+#include "arch/network.hpp"
 #include "runtime/fabric.hpp"
 
 namespace semfpga::runtime {

@@ -10,8 +10,8 @@ namespace semfpga::runtime {
 
 namespace {
 
-/// Remainder-first even split of `extent` into `parts` (matches
-/// solver::partition_slabs): part i covers [begin_of(i), begin_of(i+1)).
+/// Remainder-first even split of `extent` into `parts`: part i covers
+/// [begin_of(i), begin_of(i+1)).
 int split_begin(int extent, int parts, int index) {
   const int base = extent / parts;
   const int extra = extent % parts;

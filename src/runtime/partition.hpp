@@ -2,19 +2,20 @@
 /// \file partition.hpp
 /// First-class structured-grid partitions for the distributed tier.
 ///
-/// The original runtime hard-coded z-slab decomposition (one contiguous
-/// range of element layers per rank, solver::partition_slabs).  This file
-/// generalises that to a rank grid over all three element axes:
+/// One partition path for every consumer — the SPMD runtime, the
+/// network-charging backend and the analytic cluster model.  A rank grid
+/// over the three element axes:
 ///
-///   * kSlab    — (1, 1, R): the historical decomposition, unchanged,
+///   * kSlab    — (1, 1, R): z-slabs, one contiguous range of element
+///                layers per rank,
 ///   * kPencil  — (px, py, 1): x/y pencils, full z extent per rank,
 ///   * kBlock3d — (px, py, pz): full 3D blocks.
 ///
-/// Every axis is split with the same remainder-first rule partition_slabs
-/// uses (the first `extent % parts` blocks get one extra element layer), so
-/// partition_blocks(spec, R, kSlab) reproduces partition_slabs(spec, R)
-/// range for range.  Rank numbering is x-fastest: rank = (bz*py + by)*px +
-/// bx, which again degenerates to rank == bz for slabs.
+/// Every axis is split by the remainder-first rule: `extent` element layers
+/// over `parts` blocks give each block `extent / parts` layers, and the
+/// first `extent % parts` blocks one more (10 layers over 4 ranks: 3, 3, 2,
+/// 2).  Rank numbering is x-fastest: rank = (bz*py + by)*px + bx, which
+/// degenerates to rank == bz for slabs.
 ///
 /// The per-rank halo accounting is exact for the raw-copy exchange protocol
 /// of runtime::BlockHalo: a rank sends, to each of its <= 26 grid
@@ -36,7 +37,7 @@ namespace semfpga::runtime {
 
 /// Which axes the rank grid partitions.
 enum class PartitionKind {
-  kSlab,     ///< z only — the historical decomposition
+  kSlab,     ///< z only
   kPencil,   ///< x and y, full z per rank
   kBlock3d,  ///< all three axes
 };

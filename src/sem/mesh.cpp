@@ -115,49 +115,6 @@ Mesh::Mesh(BoxMeshSpec spec, const ReferenceElement& ref) : spec_(spec) {
   }
 }
 
-Mesh Mesh::extract_slab(const Mesh& parent, int z_begin, int z_end) {
-  const BoxMeshSpec& spec = parent.spec_;
-  SEMFPGA_CHECK(0 <= z_begin && z_begin < z_end && z_end <= spec.nelz,
-                "slab layer range must lie inside the parent mesh");
-
-  Mesh m;
-  m.spec_ = spec;
-  m.spec_.nelz = z_end - z_begin;
-  // Nominal extents only (coordinates are copied, never re-derived): the
-  // slab covers [z0 + z_begin h, z0 + z_end h] of the parent box.
-  const double hz = (spec.z1 - spec.z0) / spec.nelz;
-  m.spec_.z0 = spec.z0 + z_begin * hz;
-  m.spec_.z1 = spec.z0 + z_end * hz;
-
-  const std::size_t per_layer = static_cast<std::size_t>(spec.nelx) * spec.nely;
-  m.ppe_ = parent.ppe_;
-  m.n_elements_ = per_layer * static_cast<std::size_t>(z_end - z_begin);
-
-  const std::size_t node_begin = per_layer * static_cast<std::size_t>(z_begin) * m.ppe_;
-  const std::size_t n_local = m.n_elements_ * m.ppe_;
-  m.x_.assign(parent.x_.begin() + node_begin, parent.x_.begin() + node_begin + n_local);
-  m.y_.assign(parent.y_.begin() + node_begin, parent.y_.begin() + node_begin + n_local);
-  m.z_.assign(parent.z_.begin() + node_begin, parent.z_.begin() + node_begin + n_local);
-
-  // Global lattice ids are z-outermost too, so the slab's ids are the
-  // contiguous range starting at the first lattice plane it touches.
-  const std::int64_t gx = static_cast<std::int64_t>(spec.nelx) * spec.degree + 1;
-  const std::int64_t gy = static_cast<std::int64_t>(spec.nely) * spec.degree + 1;
-  const std::int64_t id_base =
-      gx * gy * (static_cast<std::int64_t>(z_begin) * spec.degree);
-  m.n_global_ = static_cast<std::size_t>(gx) * gy *
-                (static_cast<std::size_t>(z_end - z_begin) * spec.degree + 1);
-  m.global_id_.resize(n_local);
-  for (std::size_t p = 0; p < n_local; ++p) {
-    m.global_id_[p] = parent.global_id_[node_begin + p] - id_base;
-  }
-  m.boundary_.assign(
-      parent.boundary_.begin() + static_cast<std::ptrdiff_t>(id_base),
-      parent.boundary_.begin() + static_cast<std::ptrdiff_t>(id_base) +
-          static_cast<std::ptrdiff_t>(m.n_global_));
-  return m;
-}
-
 Mesh Mesh::extract_block(const Mesh& parent, int x_begin, int x_end, int y_begin,
                          int y_end, int z_begin, int z_end) {
   const BoxMeshSpec& spec = parent.spec_;

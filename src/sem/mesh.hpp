@@ -41,27 +41,17 @@ class Mesh {
  public:
   Mesh(BoxMeshSpec spec, const ReferenceElement& ref);
 
-  /// Extracts the z-slab of element layers [z_begin, z_end) as a standalone
-  /// mesh — the rank-local mesh of the SPMD runtime.  Elements are
-  /// z-outermost, so the slab is a contiguous element range: nodal
-  /// coordinates are copied bitwise (re-meshing a sub-box would re-round
-  /// them and re-evaluate deformations against the wrong extents), global
-  /// ids are renumbered to the slab's contiguous lattice range, and
-  /// boundary flags are restricted from the parent — an interface plane of
-  /// the slab is *not* marked as domain boundary.
-  /// \pre 0 <= z_begin < z_end <= spec().nelz.
-  [[nodiscard]] static Mesh extract_slab(const Mesh& parent, int z_begin, int z_end);
-
   /// Extracts the element box [x_begin,x_end) x [y_begin,y_end) x
-  /// [z_begin,z_end) as a standalone mesh — the rank-local mesh for pencil
-  /// and 3D block partitions (runtime::partition_blocks).  Block elements
-  /// are not contiguous in the parent, so coordinates are copied bitwise
-  /// element by element; global ids are renumbered to the block's own
-  /// lattice (x-fastest, exactly the ordering a direct Mesh build would
-  /// produce), and boundary flags are restricted from the parent — an
-  /// inter-rank interface plane is *not* marked as domain boundary.
-  /// extract_block over a full-extent x/y range equals extract_slab
-  /// bitwise.  \pre all ranges non-empty and inside the parent box.
+  /// [z_begin,z_end) as a standalone mesh — the rank-local mesh of the SPMD
+  /// runtime for every partition kind (runtime::partition_blocks).  Block
+  /// elements are not contiguous in the parent, so coordinates are copied
+  /// bitwise element by element (re-meshing a sub-box would re-round them
+  /// and re-evaluate deformations against the wrong extents); global ids
+  /// are renumbered to the block's own lattice (x-fastest, exactly the
+  /// ordering a direct Mesh build would produce), and boundary flags are
+  /// restricted from the parent — an inter-rank interface plane is *not*
+  /// marked as domain boundary.
+  /// \pre all ranges non-empty and inside the parent box.
   [[nodiscard]] static Mesh extract_block(const Mesh& parent, int x_begin,
                                           int x_end, int y_begin, int y_end,
                                           int z_begin, int z_end);
@@ -91,7 +81,7 @@ class Mesh {
   }
 
  private:
-  Mesh() = default;  ///< blank shell for extract_slab
+  Mesh() = default;  ///< blank shell for extract_block
 
   BoxMeshSpec spec_;
   std::size_t n_elements_ = 0;

@@ -5,6 +5,11 @@
 namespace semfpga::arch {
 namespace {
 
+using runtime::PartitionKind;
+
+constexpr PartitionKind kKinds[] = {PartitionKind::kSlab, PartitionKind::kPencil,
+                                    PartitionKind::kBlock3d};
+
 sem::BoxMeshSpec big_spec() {
   sem::BoxMeshSpec spec;
   spec.degree = 7;
@@ -20,35 +25,62 @@ DeviceKernelTime linear_kernel(double overhead_s, double per_element_s) {
   };
 }
 
+std::vector<ProjectionPoint> strong(const sem::BoxMeshSpec& spec,
+                                    const DeviceKernelTime& kernel,
+                                    const NetworkSpec& network,
+                                    const std::vector<int>& rank_counts,
+                                    PartitionKind kind) {
+  return projected_strong_scaling(spec, kernel, network, rank_counts, kind,
+                                  /*overlap=*/false);
+}
+
+std::vector<ProjectionPoint> weak(const sem::BoxMeshSpec& spec,
+                                  const DeviceKernelTime& kernel,
+                                  const NetworkSpec& network,
+                                  const std::vector<int>& rank_counts,
+                                  PartitionKind kind) {
+  return projected_weak_scaling(spec, kernel, network, rank_counts, kind,
+                                /*overlap=*/false);
+}
+
 TEST(ClusterModel, PerfectScalingWithoutNetworkCosts) {
   NetworkSpec free_net;
   free_net.latency_us = 0.0;
   free_net.bandwidth_gbs = 1e9;
-  const auto points = strong_scaling(big_spec(), linear_kernel(0.0, 1e-6), free_net,
-                                     {1, 2, 4, 8});
-  for (const ScalingPoint& p : points) {
-    EXPECT_NEAR(p.speedup, static_cast<double>(p.ranks), 1e-6) << p.ranks;
-    EXPECT_NEAR(p.efficiency, 1.0, 1e-6) << p.ranks;
+  for (const PartitionKind kind : kKinds) {
+    SCOPED_TRACE(runtime::partition_kind_name(kind));
+    const auto points =
+        strong(big_spec(), linear_kernel(0.0, 1e-6), free_net, {1, 2, 4, 8}, kind);
+    for (const ProjectionPoint& p : points) {
+      EXPECT_NEAR(p.speedup, static_cast<double>(p.ranks), 1e-6) << p.ranks;
+      EXPECT_NEAR(p.efficiency, 1.0, 1e-6) << p.ranks;
+    }
   }
 }
 
 TEST(ClusterModel, SpeedupIsBoundedByRanks) {
   const NetworkSpec net;
-  const auto points = strong_scaling(big_spec(), linear_kernel(10e-6, 1e-6), net,
-                                     {1, 2, 4, 8, 16, 32});
-  for (const ScalingPoint& p : points) {
-    EXPECT_LE(p.speedup, static_cast<double>(p.ranks) + 1e-9) << p.ranks;
-    EXPECT_GT(p.speedup, 0.0);
+  for (const PartitionKind kind : kKinds) {
+    SCOPED_TRACE(runtime::partition_kind_name(kind));
+    const auto points = strong(big_spec(), linear_kernel(10e-6, 1e-6), net,
+                               {1, 2, 4, 8, 16, 32}, kind);
+    for (const ProjectionPoint& p : points) {
+      EXPECT_LE(p.speedup, static_cast<double>(p.ranks) + 1e-9) << p.ranks;
+      EXPECT_GT(p.speedup, 0.0);
+    }
   }
 }
 
 TEST(ClusterModel, EfficiencyDecreasesWithRanks) {
   const NetworkSpec net;
-  const auto points = strong_scaling(big_spec(), linear_kernel(10e-6, 1e-6), net,
-                                     {1, 2, 4, 8, 16, 32});
-  for (std::size_t i = 1; i < points.size(); ++i) {
-    EXPECT_LE(points[i].efficiency, points[i - 1].efficiency + 1e-9)
-        << points[i].ranks;
+  for (const PartitionKind kind : kKinds) {
+    SCOPED_TRACE(runtime::partition_kind_name(kind));
+    const auto points = strong(big_spec(), linear_kernel(10e-6, 1e-6), net,
+                               {1, 2, 4, 8, 16, 32}, kind);
+    for (std::size_t i = 1; i < points.size(); ++i) {
+      EXPECT_LE(points[i].efficiency, points[i - 1].efficiency + 1e-9)
+          << points[i].ranks;
+    }
   }
 }
 
@@ -57,43 +89,53 @@ TEST(ClusterModel, LatencyFloorsTheIterationTime) {
   // network terms alone.
   NetworkSpec net;
   net.latency_us = 5.0;
-  const auto points =
-      strong_scaling(big_spec(), linear_kernel(0.0, 1e-9), net, {1, 32});
-  const ScalingPoint& p32 = points.back();
-  EXPECT_GT(p32.allreduce_seconds + p32.halo_seconds,
-            0.9 * p32.iteration_seconds);
+  for (const PartitionKind kind : kKinds) {
+    SCOPED_TRACE(runtime::partition_kind_name(kind));
+    const auto points = strong(big_spec(), linear_kernel(0.0, 1e-9), net, {1, 32}, kind);
+    const ProjectionPoint& p32 = points.back();
+    EXPECT_GT(p32.allreduce_seconds + p32.halo_seconds, 0.9 * p32.iteration_seconds);
+  }
 }
 
 TEST(ClusterModel, HaloBytesScaleWithTheInterfaceArea) {
   const NetworkSpec net;
   sem::BoxMeshSpec small = big_spec();
   small.nelx = small.nely = 4;
-  const auto big = strong_scaling(big_spec(), linear_kernel(0.0, 1e-6), net, {1, 4});
-  const auto little = strong_scaling(small, linear_kernel(0.0, 1e-6), net, {1, 4});
-  // 16x the interface area -> larger halo time.
-  EXPECT_GT(big.back().halo_seconds, little.back().halo_seconds);
+  for (const PartitionKind kind : kKinds) {
+    SCOPED_TRACE(runtime::partition_kind_name(kind));
+    const auto big = strong(big_spec(), linear_kernel(0.0, 1e-6), net, {1, 4}, kind);
+    const auto little = strong(small, linear_kernel(0.0, 1e-6), net, {1, 4}, kind);
+    // A larger cross-section -> larger halo time.
+    EXPECT_GT(big.back().halo_seconds, little.back().halo_seconds);
+  }
 }
 
 TEST(ClusterModel, SingleRankHasNoNetworkTerms) {
   const NetworkSpec net;
-  const auto points = strong_scaling(big_spec(), linear_kernel(1e-5, 1e-6), net, {1});
-  EXPECT_DOUBLE_EQ(points[0].halo_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(points[0].allreduce_seconds, 0.0);
+  for (const PartitionKind kind : kKinds) {
+    SCOPED_TRACE(runtime::partition_kind_name(kind));
+    const auto points = strong(big_spec(), linear_kernel(1e-5, 1e-6), net, {1}, kind);
+    EXPECT_DOUBLE_EQ(points[0].halo_seconds, 0.0);
+    EXPECT_DOUBLE_EQ(points[0].allreduce_seconds, 0.0);
+  }
 }
 
 TEST(ClusterModel, WeakScalingIsFlatWithoutNetworkCosts) {
-  // Constant layers per rank + linear kernel + free network: the iteration
+  // Constant block per rank + linear kernel + free network: the iteration
   // time never changes, so weak efficiency stays at 1.
   NetworkSpec free_net;
   free_net.latency_us = 0.0;
   free_net.bandwidth_gbs = 1e9;
   sem::BoxMeshSpec per_rank = big_spec();
   per_rank.nelz = 4;  // layers each rank keeps
-  const auto points = weak_scaling(per_rank, linear_kernel(0.0, 1e-6), free_net,
-                                   {1, 2, 4, 8});
-  for (const ScalingPoint& p : points) {
-    EXPECT_NEAR(p.efficiency, 1.0, 1e-9) << p.ranks;
-    EXPECT_NEAR(p.iteration_seconds, points[0].iteration_seconds, 1e-12) << p.ranks;
+  for (const PartitionKind kind : kKinds) {
+    SCOPED_TRACE(runtime::partition_kind_name(kind));
+    const auto points =
+        weak(per_rank, linear_kernel(0.0, 1e-6), free_net, {1, 2, 4, 8}, kind);
+    for (const ProjectionPoint& p : points) {
+      EXPECT_NEAR(p.efficiency, 1.0, 1e-9) << p.ranks;
+      EXPECT_NEAR(p.iteration_seconds, points[0].iteration_seconds, 1e-12) << p.ranks;
+    }
   }
 }
 
@@ -101,26 +143,55 @@ TEST(ClusterModel, WeakScalingEfficiencyDecaysWithTheAllreduceDepth) {
   const NetworkSpec net;  // real latency
   sem::BoxMeshSpec per_rank = big_spec();
   per_rank.nelz = 2;
-  const auto points = weak_scaling(per_rank, linear_kernel(0.0, 1e-6), net,
-                                   {1, 2, 4, 8, 16});
-  for (std::size_t i = 1; i < points.size(); ++i) {
-    EXPECT_LT(points[i].efficiency, 1.0) << points[i].ranks;
-    EXPECT_LE(points[i].efficiency, points[i - 1].efficiency + 1e-12)
-        << points[i].ranks;
-    // The per-rank slab, and with it the kernel term, never changes.
-    EXPECT_DOUBLE_EQ(points[i].ax_seconds, points[0].ax_seconds);
+  for (const PartitionKind kind : kKinds) {
+    SCOPED_TRACE(runtime::partition_kind_name(kind));
+    const auto points =
+        weak(per_rank, linear_kernel(0.0, 1e-6), net, {1, 2, 4, 8, 16}, kind);
+    for (std::size_t i = 1; i < points.size(); ++i) {
+      EXPECT_LT(points[i].efficiency, 1.0) << points[i].ranks;
+      EXPECT_LE(points[i].efficiency, points[i - 1].efficiency + 1e-12)
+          << points[i].ranks;
+      // The per-rank block, and with it the kernel term, never changes.
+      EXPECT_DOUBLE_EQ(points[i].ax_seconds, points[0].ax_seconds);
+    }
+  }
+}
+
+TEST(ClusterModel, OverlapOnlyHidesHaloTime) {
+  // Overlap moves halo time into overlap_saved_seconds and never adds
+  // time; without overlap nothing is hidden.
+  const NetworkSpec net;
+  const std::vector<int> ranks = {1, 2, 4, 8, 16, 32};
+  for (const PartitionKind kind : kKinds) {
+    SCOPED_TRACE(runtime::partition_kind_name(kind));
+    const auto plain = projected_strong_scaling(big_spec(), linear_kernel(0.0, 1e-7),
+                                                net, ranks, kind, /*overlap=*/false);
+    const auto hidden = projected_strong_scaling(big_spec(), linear_kernel(0.0, 1e-7),
+                                                 net, ranks, kind, /*overlap=*/true);
+    ASSERT_EQ(plain.size(), hidden.size());
+    bool saved_any = false;
+    for (std::size_t i = 0; i < plain.size(); ++i) {
+      EXPECT_DOUBLE_EQ(plain[i].halo_seconds, plain[i].halo_full_seconds) << ranks[i];
+      EXPECT_EQ(plain[i].overlap_saved_seconds, 0.0) << ranks[i];
+      EXPECT_DOUBLE_EQ(hidden[i].halo_seconds + hidden[i].overlap_saved_seconds,
+                       hidden[i].halo_full_seconds)
+          << ranks[i];
+      EXPECT_LE(hidden[i].iteration_seconds, plain[i].iteration_seconds) << ranks[i];
+      saved_any = saved_any || hidden[i].overlap_saved_seconds > 0.0;
+    }
+    EXPECT_TRUE(saved_any);
   }
 }
 
 TEST(ClusterModel, RejectsBadInputs) {
   const NetworkSpec net;
-  EXPECT_THROW((void)strong_scaling(big_spec(), DeviceKernelTime{}, net, {1}),
+  EXPECT_THROW((void)strong(big_spec(), DeviceKernelTime{}, net, {1}, PartitionKind::kSlab),
                std::invalid_argument);
   NetworkSpec bad = net;
   bad.bandwidth_gbs = 0.0;
-  EXPECT_THROW(
-      (void)strong_scaling(big_spec(), linear_kernel(0.0, 1e-6), bad, {1}),
-      std::invalid_argument);
+  EXPECT_THROW((void)strong(big_spec(), linear_kernel(0.0, 1e-6), bad, {1},
+                            PartitionKind::kSlab),
+               std::invalid_argument);
 }
 
 }  // namespace

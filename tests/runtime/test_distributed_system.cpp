@@ -1,6 +1,7 @@
 /// Rank-local building blocks of the SPMD runtime against the single-rank
-/// oracle: slab mesh extraction, corrected multiplicity/diagonal, the
-/// two-level gather-scatter and the distributed operator/RHS — all bitwise.
+/// oracle: full-x/y block (slab) mesh extraction, corrected
+/// multiplicity/diagonal, the two-level gather-scatter and the distributed
+/// operator/RHS — all bitwise.
 
 #include <cmath>
 #include <vector>
@@ -52,7 +53,8 @@ TEST(SlabMesh, CoordinatesAndIdsRestrictTheParentBitwise) {
   for (const auto deformation : {sem::Deformation::kNone, sem::Deformation::kTwist}) {
     const sem::BoxMeshSpec spec = small_spec(3, 5, deformation);
     const sem::Mesh global = sem::box_mesh(spec);
-    const sem::Mesh slab = sem::Mesh::extract_slab(global, 2, 4);
+    const sem::Mesh slab =
+        sem::Mesh::extract_block(global, 0, spec.nelx, 0, spec.nely, 2, 4);
 
     EXPECT_EQ(slab.n_elements(), 2u * 3 * 2);
     EXPECT_EQ(slab.spec().nelz, 2);
@@ -93,9 +95,12 @@ TEST(SlabMesh, CoordinatesAndIdsRestrictTheParentBitwise) {
 
 TEST(SlabMesh, RejectsBadLayerRanges) {
   const sem::Mesh global = sem::box_mesh(small_spec(2, 4));
-  EXPECT_THROW((void)sem::Mesh::extract_slab(global, 2, 2), std::invalid_argument);
-  EXPECT_THROW((void)sem::Mesh::extract_slab(global, -1, 2), std::invalid_argument);
-  EXPECT_THROW((void)sem::Mesh::extract_slab(global, 1, 5), std::invalid_argument);
+  const auto slab = [&](int z_begin, int z_end) {
+    return sem::Mesh::extract_block(global, 0, 2, 0, 3, z_begin, z_end);
+  };
+  EXPECT_THROW((void)slab(2, 2), std::invalid_argument);
+  EXPECT_THROW((void)slab(-1, 2), std::invalid_argument);
+  EXPECT_THROW((void)slab(1, 5), std::invalid_argument);
 }
 
 TEST(RankSystem, CorrectedWeightsMatchTheGlobalSystem) {

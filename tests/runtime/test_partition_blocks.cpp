@@ -1,7 +1,7 @@
-/// runtime::partition_blocks — the generalized grid partition behind the
-/// SPMD runtime: slab compatibility with solver::partition_slabs, prime
-/// rank counts, single-element-deep axes, and the closed-form halo
-/// accounting against the BlockHalo the runtime actually builds.
+/// runtime::partition_blocks — the grid partition behind the SPMD runtime
+/// and the cluster model: the remainder-first slab split, prime rank
+/// counts, single-element-deep axes, and the closed-form halo accounting
+/// against the BlockHalo the runtime actually builds.
 
 #include <numeric>
 #include <stdexcept>
@@ -11,7 +11,6 @@
 #include "runtime/partition.hpp"
 #include "runtime/rank_system.hpp"
 #include "runtime/spmd.hpp"
-#include "solver/partition.hpp"
 
 namespace semfpga::runtime {
 namespace {
@@ -30,23 +29,56 @@ std::size_t global_elements(const sem::BoxMeshSpec& spec) {
          static_cast<std::size_t>(spec.nelz);
 }
 
-TEST(PartitionBlocks, SlabKindReproducesPartitionSlabs) {
-  for (const auto& [nelz, ranks] : {std::pair{13, 4}, {10, 4}, {6, 3}, {8, 1}}) {
-    const sem::BoxMeshSpec spec = spec_of(3, 5, 4, nelz);
-    const solver::SlabPartition slabs = solver::partition_slabs(spec, ranks);
-    const BlockPartition blocks = partition_blocks(spec, ranks, PartitionKind::kSlab);
-    ASSERT_EQ(blocks.px, 1);
-    ASSERT_EQ(blocks.py, 1);
-    ASSERT_EQ(blocks.pz, ranks);
-    for (int r = 0; r < ranks; ++r) {
-      const auto& s = slabs.ranks[static_cast<std::size_t>(r)];
-      const auto& b = blocks.ranks[static_cast<std::size_t>(r)];
-      ASSERT_EQ(b.z_begin, s.z_begin) << "rank " << r;
-      ASSERT_EQ(b.z_end, s.z_end) << "rank " << r;
-      ASSERT_EQ(b.x_begin, 0);
-      ASSERT_EQ(b.x_end, spec.nelx);
-      ASSERT_EQ(b.y_begin, 0);
-      ASSERT_EQ(b.y_end, spec.nely);
+TEST(PartitionBlocks, SlabKindSplitsLayersRemainderFirst) {
+  // 10 layers over 4 ranks: 3, 3, 2, 2 — each layer covered exactly once,
+  // every rank spanning the full x/y extent.
+  const sem::BoxMeshSpec spec = spec_of(3, 5, 4, 10);
+  const BlockPartition part = partition_blocks(spec, 4, PartitionKind::kSlab);
+  ASSERT_EQ(part.px, 1);
+  ASSERT_EQ(part.py, 1);
+  ASSERT_EQ(part.pz, 4);
+  ASSERT_EQ(part.ranks.size(), 4u);
+  const int expected_layers[] = {3, 3, 2, 2};
+  int z = 0;
+  std::int64_t total = 0;
+  for (int r = 0; r < 4; ++r) {
+    const RankBlock& b = part.ranks[static_cast<std::size_t>(r)];
+    EXPECT_EQ(b.rank, r);
+    EXPECT_EQ(b.z_begin, z) << "rank " << r;
+    EXPECT_EQ(b.z_end - b.z_begin, expected_layers[r]) << "rank " << r;
+    EXPECT_EQ(b.x_begin, 0);
+    EXPECT_EQ(b.x_end, spec.nelx);
+    EXPECT_EQ(b.y_begin, 0);
+    EXPECT_EQ(b.y_end, spec.nely);
+    EXPECT_EQ(b.n_elements, 5LL * 4 * expected_layers[r]);
+    z = b.z_end;
+    total += b.n_elements;
+  }
+  EXPECT_EQ(z, spec.nelz);
+  EXPECT_EQ(total, static_cast<std::int64_t>(global_elements(spec)));
+  EXPECT_EQ(part.max_elements(), 3LL * 5 * 4);
+}
+
+TEST(PartitionBlocks, SlabRemainderLayersAlwaysLandOnTheFirstRanks) {
+  // Exhaustive small sweep: every (layers, ranks) pair keeps slab sizes
+  // within one layer of each other, larger slabs first.
+  for (int nelz = 1; nelz <= 9; ++nelz) {
+    for (int ranks = 1; ranks <= nelz; ++ranks) {
+      const BlockPartition part =
+          partition_blocks(spec_of(2, 2, 2, nelz), ranks, PartitionKind::kSlab);
+      ASSERT_EQ(static_cast<int>(part.ranks.size()), ranks);
+      int covered = 0;
+      for (int r = 0; r < ranks; ++r) {
+        const RankBlock& b = part.ranks[static_cast<std::size_t>(r)];
+        const int layers = b.z_end - b.z_begin;
+        const int expected = nelz / ranks + (r < nelz % ranks ? 1 : 0);
+        ASSERT_EQ(b.z_begin, covered) << "nelz " << nelz << " ranks " << ranks
+                                      << " rank " << r;
+        ASSERT_EQ(layers, expected) << "nelz " << nelz << " ranks " << ranks
+                                    << " rank " << r;
+        covered += layers;
+      }
+      ASSERT_EQ(covered, nelz);
     }
   }
 }
